@@ -220,7 +220,9 @@ class BudgetLedger:
                     ),
                 )
         if self._journal_path.exists():
-            for analyst_id, info, calls, ts_ms in _read_journal(self._journal_path):
+            data = self._journal_path.read_bytes()
+            whole = 0
+            for analyst_id, info, calls, ts_ms, whole in _read_journal(data):
                 when = datetime.fromtimestamp(ts_ms / 1000, tz=timezone.utc)
                 rec = self._registered(analyst_id, when)
                 rec = self._refreshed(rec, when)
@@ -229,9 +231,13 @@ class BudgetLedger:
                     used_info=_clamp(rec.used_info + info, rec.max_info),
                     used_calls=_clamp(rec.used_calls + calls, rec.max_calls),
                 )
+            # Drop a torn tail, so that records appended from now on are read
+            # back from a record boundary rather than from inside garbage.
+            if whole < len(data):
+                os.truncate(self._journal_path, whole)
 
     def _append_journal(self, analyst_id: str, info: int, calls: int) -> None:
-        if self._journal_fh is None:
+        if self._state_dir is None:
             return
         encoded = analyst_id.encode("utf-8")
         ts_ms = int(self._clock().timestamp() * 1000)
@@ -241,6 +247,8 @@ class BudgetLedger:
             + _JOURNAL_RECORD.pack(info, calls, ts_ms)
         )
         with self._io_lock:
+            if self._journal_fh is None:
+                raise BudgetError("ledger is closed; the change cannot be journaled")
             self._journal_fh.write(payload)
             self._journal_fh.flush()
 
@@ -408,9 +416,9 @@ def _clamp(value: int, upper: int) -> int:
     return max(0, min(value, upper))
 
 
-def _read_journal(path: Path) -> Iterator[tuple[str, int, int, int]]:
-    """Yield (analyst_id, info, calls, unix_millis) journal records."""
-    data = path.read_bytes()
+def _read_journal(data: bytes) -> Iterator[tuple[str, int, int, int, int]]:
+    """Yield (analyst_id, info, calls, unix_millis, end offset) per whole
+    journal record; a truncated tail from a crash is left out."""
     pos = 0
     while pos < len(data):
         if pos + 2 > len(data):
@@ -423,5 +431,5 @@ def _read_journal(path: Path) -> Iterator[tuple[str, int, int, int]]:
         info, calls, ts_ms = _JOURNAL_RECORD.unpack(
             data[pos + 2 + id_len : end]
         )
-        yield analyst_id, info, calls, ts_ms
+        yield analyst_id, info, calls, ts_ms, end
         pos = end

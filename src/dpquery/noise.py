@@ -27,6 +27,8 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
+from .store import normalize_filter
+
 __all__ = [
     "NoiseKey",
     "NoiseStream",
@@ -73,23 +75,16 @@ def canonical_filter(filter_spec: Mapping[str, object] | None) -> str:
 
     A filter is a conjunction of ``column = value`` and ``column in set``
     terms, given as a mapping from column name to a string (equality) or to
-    an iterable of strings (membership).  Terms are sorted by column name,
-    membership values are sorted and deduplicated, and every name and value
-    is percent-encoded, so two filters that mean the same thing serialize
-    identically.
+    a list of strings (membership).  The terms are those of
+    :func:`dpquery.store.normalize_filter`, which rejects a malformed
+    filter: sorted by column name, membership values sorted and
+    deduplicated.  Every name and value is percent-encoded, so two filters
+    that mean the same thing serialize identically.
     """
-    if not filter_spec:
-        return ""
     terms = []
-    for column in sorted(filter_spec):
-        value = filter_spec[column]
-        if isinstance(value, str):
-            terms.append(f"{_quote(column)}={_quote(value)}")
-        else:
-            values = sorted({str(v) for v in value})
-            if not values:
-                raise ParameterError(f"empty membership set for column {column!r}")
-            terms.append(f"{_quote(column)}@" + ",".join(_quote(v) for v in values))
+    for column, values in normalize_filter(filter_spec):
+        op = "=" if isinstance(filter_spec[column], str) else "@"
+        terms.append(_quote(column) + op + ",".join(_quote(v) for v in values))
     return ";".join(terms)
 
 

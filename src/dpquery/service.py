@@ -40,7 +40,7 @@ from .mechanisms import (
     translate_query,
 )
 from .noise import KeyedNoise, NoiseKey, canonical_query, derive_seed
-from .store import QueryError, Table, load_snapshot
+from .store import QueryError, Table, load_snapshot, normalize_filter
 
 __all__ = [
     "QuerySpec",
@@ -240,6 +240,7 @@ class QueryService:
                 f"snapshot for {as_of.isoformat()} unavailable "
                 f"(table holds {table.as_of.isoformat()})"
             )
+        normalize_filter(query.filter)  # a malformed filter is refused before admission
         qclass = self.classify(query)
         expected = expected_cost(qclass, query.k)
         reserved = self._ledger.try_reserve(query.analyst_id, expected)
@@ -321,6 +322,8 @@ class ServiceServer:
         self._listener.settimeout(0.2)  # lets the accept loop notice shutdown
         self._host, self._port = self._listener.getsockname()[:2]
         self._threads: list[threading.Thread] = []
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
         self._accept_thread: threading.Thread | None = None
         self._closing = threading.Event()
 
@@ -341,18 +344,24 @@ class ServiceServer:
                 continue
             except OSError:
                 return
+            with self._connections_lock:
+                self._connections.add(conn)
             worker = threading.Thread(target=self._handle, args=(conn,), daemon=True)
             worker.start()
             self._threads.append(worker)
 
     def _handle(self, conn: socket.socket) -> None:
-        with conn, conn.makefile("rwb") as stream:
-            for line in stream:
-                line = line.strip()
-                if not line:
-                    continue
-                stream.write(_encode(self._dispatch(line)))
-                stream.flush()
+        try:
+            with conn, conn.makefile("rwb") as stream:
+                for line in stream:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    stream.write(_encode(self._dispatch(line)))
+                    stream.flush()
+        finally:
+            with self._connections_lock:
+                self._connections.discard(conn)
 
     def _dispatch(self, line: bytes) -> dict:
         try:
@@ -381,11 +390,23 @@ class ServiceServer:
             return {"status": "error", "error": str(exc)}
 
     def stop(self) -> None:
-        """Stop accepting, wait for in-flight requests, flush the ledger."""
+        """Stop accepting, wait for in-flight requests, flush the ledger.
+
+        Open connections are shut for reading: an idle worker sees end of
+        input and exits at once, a busy one still sends its reply.  A worker
+        that outlives the wait finds the ledger closed, and its query fails
+        instead of being answered with a charge that is never journaled.
+        """
         self._closing.set()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)
         self._listener.close()
+        with self._connections_lock:
+            for conn in self._connections:
+                try:
+                    conn.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass  # the peer already closed it
         for worker in self._threads:
             worker.join(timeout=5)
         self._service.close()

@@ -5,16 +5,30 @@ of event records, and the single query primitive returns the top slice of
 an exact (non-private) group-by count, sorted by count descending with ties
 broken by element id ascending.  The privacy layer only ever sees this
 slice.
+
+Every column, ``member_id`` and ``event_date`` are dictionary-encoded: a
+sorted tuple of the distinct values plus one int32 code per row.  Because
+the vocabulary is sorted, ascending code order is ascending value order,
+so the tie break needs no string comparison.  The ranked unfiltered counts
+of each (column, aggregation) are computed once at construction, which
+makes an unfiltered top slice a tuple slice and unfiltered group counts a
+dict copy.  A filter is a boolean row mask over codes; distinct counts
+under it go through a per-column (group, member) pair id fixed at
+construction, so no query sorts rows.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
     "EventRecord",
@@ -144,60 +158,144 @@ class HistogramSlice:
 def normalize_filter(
     filter_spec: Mapping[str, object] | None,
 ) -> tuple[tuple[str, tuple[str, ...]], ...]:
-    """Normalize a filter to sorted (column, sorted-values) conjunctions."""
+    """Normalize a filter to sorted (column, sorted-values) conjunctions.
+
+    A term maps a column to a string (equality) or to a list, tuple or set
+    of values (membership, compared as strings).  Anything else, and an
+    empty membership set, raises :class:`QueryError` naming the column.
+    """
     if not filter_spec:
         return ()
+    if not isinstance(filter_spec, Mapping):
+        raise QueryError(f"filter must map columns to values, got {type(filter_spec).__name__}")
     terms = []
     for column in sorted(filter_spec):
         value = filter_spec[column]
         if isinstance(value, str):
             terms.append((column, (value,)))
-        else:
+        elif isinstance(value, (list, tuple, set, frozenset)):
+            if not value:
+                raise QueryError(f"empty membership set for filter column {column!r}")
             terms.append((column, tuple(sorted({str(v) for v in value}))))
+        else:
+            raise QueryError(
+                f"filter column {column!r} needs a string or a list of strings, "
+                f"got {type(value).__name__}"
+            )
     return tuple(terms)
+
+
+def _sorted_codes(values: Sequence[object], codes: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """Re-code ``codes`` (indices into ``values``) against the sorted distinct values."""
+    vocab = tuple(sorted(set(values)))
+    position = {v: i for i, v in enumerate(vocab)}
+    remap = np.fromiter(map(position.__getitem__, values), np.int32, len(values))
+    return vocab, remap[codes]
+
+
+def _decode(vocab: tuple, codes: np.ndarray) -> list:
+    return [vocab[i] for i in codes.tolist()]
+
+
+class _Column:
+    """One groupable column: sorted vocabulary, per-row codes, and per
+    aggregation the unfiltered counts, both ranked (for top slices) and as a
+    dict (copied whole for known domains, which need every count).
+
+    ``pair_of_row`` numbers each row's distinct (value, member) pair and
+    ``pair_value`` gives each pair's value code, so a distinct count under
+    a row mask is a bincount over the pairs the mask hits.
+    """
+
+    __slots__ = ("vocab", "codes", "pair_of_row", "pair_value", "ranked", "totals")
+
+    def __init__(self, vocab: tuple[str, ...], codes: np.ndarray,
+                 member_codes: np.ndarray, n_members: int):
+        self.vocab = vocab
+        self.codes = codes
+        pairs, pair_of_row = np.unique(
+            codes.astype(np.int64) * n_members + member_codes, return_inverse=True
+        )
+        self.pair_of_row = pair_of_row.astype(np.int32)
+        self.pair_value = (pairs // max(n_members, 1)).astype(np.int32)
+        self.ranked = {
+            "distinct": self.rank(np.bincount(self.pair_value, minlength=len(vocab))),
+            "raw": self.rank(np.bincount(codes, minlength=len(vocab))),
+        }
+        self.totals = {aggregation: dict(ranked) for aggregation, ranked in self.ranked.items()}
+
+    def code(self, value: str) -> int | None:
+        i = bisect_left(self.vocab, value)
+        return i if i < len(self.vocab) and self.vocab[i] == value else None
+
+    def counts(self, mask: np.ndarray, aggregation: str) -> np.ndarray:
+        """Count per value code over the rows in ``mask``."""
+        if aggregation == "raw":
+            return np.bincount(self.codes[mask], minlength=len(self.vocab))
+        pairs = self.pair_of_row[mask]
+        # Keep one row per pair: each pair slot ends up holding the position
+        # of one of its rows, whichever write lands, and only that row
+        # reads its own position back.  Only slots written here are read.
+        position = np.arange(len(pairs), dtype=np.int32)
+        owner = np.empty(len(self.pair_value), dtype=np.int32)
+        owner[pairs] = position
+        return np.bincount(
+            self.pair_value[pairs[owner[pairs] == position]], minlength=len(self.vocab)
+        )
+
+    def rank(self, counts: np.ndarray, limit: int | None = None) -> tuple[tuple[str, int], ...]:
+        """(value, count) for nonzero counts, count descending then value
+        ascending, at most ``limit`` of them."""
+        present = np.flatnonzero(counts)
+        counts = counts[present]
+        if limit is not None and len(counts) > limit:
+            # Keep every count reaching the limit-th largest; ties at it are
+            # then cut in code (= value) order by the stable sort.
+            cut = np.partition(counts, len(counts) - limit)[len(counts) - limit]
+            keep = counts >= cut
+            present, counts = present[keep], counts[keep]
+        order = np.argsort(-counts, kind="stable")[:limit]
+        return tuple(zip(_decode(self.vocab, present[order]), counts[order].tolist()))
 
 
 class Table:
     """Immutable snapshot of ingested events.
 
     Re-ingesting produces a new table; concurrent reads of one table are
-    safe.  Unfiltered count indices are built once at construction.
+    safe.  ``fields`` maps ``member_id``, ``event_date``, ``item`` and every
+    dimension column to (values, codes): values in any order (repeats are
+    merged) and one code per row indexing into them.  Build tables with
+    :func:`ingest` or :func:`load_snapshot`.
     """
 
-    def __init__(self, records: Sequence[EventRecord], schema: Schema, as_of: date,
+    def __init__(self, schema: Schema, as_of: date,
+                 fields: Mapping[str, tuple[Sequence[object], np.ndarray]],
                  rejected_out_of_window: int = 0):
         self.schema = schema
         self.as_of = as_of
         self.rejected_out_of_window = rejected_out_of_window
-        self._records = tuple(records)
-        dims = schema.dimension_columns()
-        self._columns: dict[str, list[str]] = {c: [] for c in dims}
-        self._columns["item"] = []
-        self._members: list[str] = []
-        for r in self._records:
-            self._members.append(r.member_id)
-            self._columns["item"].append(r.item)
-            for c in dims:
-                self._columns[c].append(r.dimensions[c])
-        # Unfiltered per-column indices: value -> distinct member count / row count.
-        self._distinct_index: dict[str, dict[str, int]] = {}
-        self._raw_index: dict[str, dict[str, int]] = {}
-        for c in self._columns:
-            seen: dict[str, set[str]] = {}
-            raw: dict[str, int] = {}
-            col = self._columns[c]
-            for i, v in enumerate(col):
-                seen.setdefault(v, set()).add(self._members[i])
-                raw[v] = raw.get(v, 0) + 1
-            self._distinct_index[c] = {v: len(s) for v, s in seen.items()}
-            self._raw_index[c] = raw
+        encoded = {name: _sorted_codes(*pair) for name, pair in fields.items()}
+        self._members = encoded.pop("member_id")
+        self._dates = encoded.pop("event_date")
+        member_vocab, member_codes = self._members
+        self._columns = {
+            name: _Column(vocab, codes, member_codes, len(member_vocab))
+            for name, (vocab, codes) in encoded.items()
+        }
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._members[1])
 
     @property
     def records(self) -> tuple[EventRecord, ...]:
-        return self._records
+        """The rows, rebuilt from the codes in ingest order."""
+        dims = [c for c in self._columns if c != "item"]
+        members, dates = _decode(*self._members), _decode(*self._dates)
+        items, *columns = (_decode(self._columns[c].vocab, self._columns[c].codes) for c in ("item", *dims))
+        return tuple(
+            EventRecord(member_id=m, item=i, event_date=d, dimensions=dict(zip(dims, values)))
+            for m, i, d, *values in zip(members, items, dates, *columns)
+        )
 
     def _require_column(self, column: str) -> None:
         if column not in self._columns and column not in self.schema.columns:
@@ -216,19 +314,21 @@ class Table:
         meta = self.schema.meta(column)
         return None if meta is None or meta.domain is None else meta.domain
 
-    def _matching_rows(
-        self, terms: tuple[tuple[str, tuple[str, ...]], ...]
-    ) -> Iterable[int]:
-        for column, _ in terms:
+    def _prepare(
+        self, group_by: str, filter_spec: Mapping[str, object] | None, aggregation: str
+    ) -> tuple[_Column, np.ndarray | None]:
+        """The group-by column and the filter's row mask (None = no filter)."""
+        self._require_column(group_by)
+        if aggregation not in ("distinct", "raw"):
+            raise QueryError(f"unknown aggregation {aggregation!r}")
+        mask = None
+        for column, values in normalize_filter(filter_spec):
             self._require_column(column)
-        idx = range(len(self._records))
-        for column, values in terms:
-            col = self._columns.get(column)
-            if col is None:
-                return []
-            allowed = set(values)
-            idx = [i for i in idx if col[i] in allowed]
-        return idx
+            col = self._columns[column]
+            wanted = [c for c in map(col.code, values) if c is not None]
+            term = np.isin(col.codes, wanted, kind="sort")
+            mask = term if mask is None else mask & term
+        return self._columns[group_by], mask
 
     def group_counts(
         self,
@@ -237,27 +337,12 @@ class Table:
         aggregation: str = "distinct",
     ) -> dict[str, int]:
         """Exact counts per group value (only values present in the data)."""
-        self._require_column(group_by)
-        if aggregation not in ("distinct", "raw"):
-            raise QueryError(f"unknown aggregation {aggregation!r}")
-        terms = normalize_filter(filter_spec)
-        col = self._columns.get(group_by)
-        if col is None:
-            return {}
-        if not terms:
-            index = self._distinct_index if aggregation == "distinct" else self._raw_index
-            return dict(index[group_by])
-        rows = self._matching_rows(terms)
-        if aggregation == "raw":
-            out: dict[str, int] = {}
-            for i in rows:
-                v = col[i]
-                out[v] = out.get(v, 0) + 1
-            return out
-        seen: dict[str, set[str]] = {}
-        for i in rows:
-            seen.setdefault(col[i], set()).add(self._members[i])
-        return {v: len(s) for v, s in seen.items()}
+        col, mask = self._prepare(group_by, filter_spec, aggregation)
+        if mask is None:
+            return dict(col.totals[aggregation])
+        counts = col.counts(mask, aggregation)
+        present = np.flatnonzero(counts)
+        return dict(zip(_decode(col.vocab, present), counts[present].tolist()))
 
     def top_counts(
         self,
@@ -269,11 +354,12 @@ class Table:
         """Top ``limit`` exact counts, deterministically ordered."""
         if limit < 1:
             raise QueryError(f"limit must be >= 1, got {limit}")
-        counts = self.group_counts(group_by, filter_spec, aggregation)
-        ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        return HistogramSlice(
-            entries=tuple(ordered[:limit]), truncated_at=limit, aggregation=aggregation
-        )
+        col, mask = self._prepare(group_by, filter_spec, aggregation)
+        if mask is None:
+            entries = col.ranked[aggregation][:limit]
+        else:
+            entries = col.rank(col.counts(mask, aggregation), limit)
+        return HistogramSlice(entries=entries, truncated_at=limit, aggregation=aggregation)
 
 
 def _validate_records(
@@ -291,17 +377,18 @@ def _validate_records(
         if not isinstance(r.event_date, date):
             bad.append((i, "event_date is not a date"))
             continue
-        have = set(r.dimensions)
-        if have != dims:
-            missing = sorted(dims - have)
-            extra = sorted(have - dims)
-            bad.append((i, f"dimension mismatch (missing={missing}, extra={extra})"))
+        if r.dimensions.keys() != dims:
+            bad.append((i, _dimension_mismatch(dims, set(r.dimensions))))
             continue
         if not (window_start <= r.event_date <= as_of):
             rejected += 1
             continue
         kept.append(r)
     return kept, rejected, bad
+
+
+def _dimension_mismatch(declared: set[str], have: set[str]) -> str:
+    return f"dimension mismatch (missing={sorted(declared - have)}, extra={sorted(have - declared)})"
 
 
 def ingest(records: Sequence[EventRecord], schema: Schema, as_of: date) -> Table:
@@ -314,7 +401,19 @@ def ingest(records: Sequence[EventRecord], schema: Schema, as_of: date) -> Table
     kept, rejected, bad = _validate_records(records, schema, as_of)
     if bad:
         raise IngestError(bad)
-    return Table(kept, schema, as_of, rejected_out_of_window=rejected)
+    fields = {
+        "member_id": [r.member_id for r in kept],
+        "event_date": [r.event_date for r in kept],
+        "item": [r.item for r in kept],
+    }
+    for column in schema.dimension_columns():
+        fields[column] = [r.dimensions[column] for r in kept]
+    return Table(
+        schema,
+        as_of,
+        {name: (values, np.arange(len(values))) for name, values in fields.items()},
+        rejected_out_of_window=rejected,
+    )
 
 
 def _record_from_flat(row: Mapping[str, str], index: int) -> EventRecord:
@@ -394,6 +493,62 @@ def save_snapshot(table: Table, directory: str | Path) -> Path:
     return directory
 
 
+def _row_problem(row: object, dims: set[str]) -> str:
+    """Why a snapshot row could not be encoded."""
+    if not isinstance(row, dict):
+        return "row is not a JSON object"
+    missing = [f for f in RESERVED_FIELDS if f not in row]
+    if missing:
+        return f"missing fields {missing}"
+    have = set(row) - set(RESERVED_FIELDS)
+    if have != dims:
+        return _dimension_mismatch(dims, have)
+    return "field values must be JSON scalars"
+
+
+def _encode_rows(path: Path, schema: Schema) -> dict[str, tuple[list, np.ndarray]]:
+    """Parse snapshot rows straight into first-seen codes per field.
+
+    Each row must hold exactly the reserved fields and the schema's
+    dimension columns; the first row that does not, or whose event_date is
+    not an ISO date, raises :class:`IngestError` with its line index.
+    """
+    dims = schema.dimension_columns()
+    slots = [(name, {}, array("i")) for name in (*RESERVED_FIELDS, *dims)]
+    width = len(slots)
+    date_ids = slots[RESERVED_FIELDS.index("event_date")][1]
+    dates: list[date] = []
+    loads = json.loads
+    with open(path, "r", encoding="utf-8") as fh:
+        for i, line in enumerate(fh):
+            if line.isspace():
+                continue
+            try:
+                row = loads(line)
+            except json.JSONDecodeError as exc:
+                raise IngestError([(i, f"invalid JSON: {exc}")]) from None
+            try:
+                for name, ids, codes in slots:
+                    codes.append(ids.setdefault(row[name], len(ids)))
+                if len(row) != width:
+                    raise KeyError("extra fields")
+            except (KeyError, TypeError):
+                raise IngestError([(i, _row_problem(row, set(dims)))]) from None
+            if len(date_ids) > len(dates):  # this row brought a new date
+                raw = row["event_date"]
+                try:
+                    dates.append(date.fromisoformat(str(raw)))
+                except ValueError:
+                    raise IngestError([(i, f"bad event_date {raw!r}")]) from None
+    return {
+        name: (
+            dates if ids is date_ids else [v if isinstance(v, str) else str(v) for v in ids],
+            np.frombuffer(codes, dtype=np.intc).astype(np.int32),
+        )
+        for name, ids, codes in slots
+    }
+
+
 def load_snapshot(directory: str | Path) -> Table:
     directory = Path(directory)
     manifest = json.loads((directory / SNAPSHOT_MANIFEST).read_text())
@@ -401,10 +556,9 @@ def load_snapshot(directory: str | Path) -> Table:
         raise IngestError([(0, f"unsupported snapshot version {manifest.get('version')}")])
     schema = Schema.from_dict(manifest["schema"])
     as_of = date.fromisoformat(manifest["as_of"])
-    records = load_ndjson(directory / SNAPSHOT_ROWS)
     return Table(
-        records,
         schema,
         as_of,
+        _encode_rows(directory / SNAPSHOT_ROWS, schema),
         rejected_out_of_window=int(manifest.get("rejected_out_of_window", 0)),
     )

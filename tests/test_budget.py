@@ -248,6 +248,27 @@ class TestPersistence:
         reopened = BudgetLedger(state_dir=tmp_path)
         assert reopened.get_budget("a").used_info == 42
 
+    def test_torn_tail_is_cut_before_new_records(self, tmp_path):
+        ledger = BudgetLedger(state_dir=tmp_path)
+        ledger.update_budget("a", Cost(10, 0))
+        del ledger
+        journal = tmp_path / "budget.journal"
+        journal.write_bytes(journal.read_bytes() + b"\x00\x05abcde")  # crash mid-append
+        recovered = BudgetLedger(state_dir=tmp_path)
+        recovered.update_budget("a", Cost(100, 0))
+        del recovered
+        assert BudgetLedger(state_dir=tmp_path).get_budget("a").used_info == 110
+
+    def test_closed_ledger_refuses_changes(self, tmp_path):
+        ledger = BudgetLedger(state_dir=tmp_path)
+        ledger.update_budget("a", Cost(5, 0))
+        ledger.close()
+        with pytest.raises(BudgetError):
+            ledger.try_reserve("a", Cost(1, 0))
+        with pytest.raises(BudgetError):
+            ledger.settle("a", Cost(5, 0), Cost(1, 0))
+        assert BudgetLedger(state_dir=tmp_path).get_budget("a").used_info == 5
+
     def test_reset_usage_survives_restart(self, tmp_path):
         ledger = BudgetLedger(state_dir=tmp_path)
         ledger.update_budget("a", Cost(100, 5))

@@ -203,6 +203,15 @@ class TestExecute:
         rec = service.ledger.get_budget("alice")
         assert (rec.used_info, rec.used_calls) == (0, 0)
 
+    @pytest.mark.parametrize("bad", [{"region": 3}, {"region": []}, {"region": {"amer": 1}}, ["region"]])
+    def test_malformed_filter_rejected_before_budget(self, tmp_path, bad):
+        service = build_service(ledger=BudgetLedger(state_dir=tmp_path))
+        with pytest.raises(QueryError):
+            service.execute(query(group_by="region", k=1, filter=bad))
+        rec = service.ledger.get_budget("alice")
+        assert (rec.used_info, rec.used_calls) == (0, 0)
+        assert (tmp_path / "budget.journal").read_bytes() == b""
+
     def test_bad_k_rejected_before_budget(self):
         service = build_service()
         with pytest.raises(QueryError):
@@ -395,6 +404,21 @@ class TestServer:
         finally:
             client.close()
             server.stop()
+
+    def test_stop_does_not_wait_for_idle_connections(self, tmp_path):
+        import time
+
+        server = ServiceServer(build_service(ledger=BudgetLedger(state_dir=tmp_path))).start()
+        clients = [Client(server.address) for _ in range(2)]
+        try:
+            for client in clients:
+                assert client.send({"op": "ping"})["status"] == "ok"
+            started = time.monotonic()
+            server.stop()
+            assert time.monotonic() - started < 1.0
+        finally:
+            for client in clients:
+                client.close()
 
     def test_unknown_op(self):
         server = ServiceServer(build_service()).start()

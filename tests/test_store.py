@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+import re
 from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpquery.noise import canonical_filter
 from dpquery.store import (
     ColumnMeta,
     IngestError,
@@ -234,6 +236,82 @@ class TestTopCountsProperty:
         assert list(got.entries) == expected
 
 
+FILTER_VALUES = {
+    "country": ["c0", "c1", "c2", "c9"],  # c9 never occurs in the data
+    "title": ["t0", "t1", "t2", "t9"],
+}
+
+
+@st.composite
+def filters(draw):
+    """One- and two-term conjunctions of equality and membership terms."""
+    columns = draw(st.lists(st.sampled_from(sorted(FILTER_VALUES)), min_size=1, max_size=2, unique=True))
+    spec = {}
+    for column in columns:
+        if draw(st.booleans()):
+            spec[column] = draw(st.sampled_from(FILTER_VALUES[column]))
+        else:
+            spec[column] = draw(
+                st.lists(st.sampled_from(FILTER_VALUES[column]), min_size=1, max_size=3)
+            )
+    return spec
+
+
+class TestFilteredProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=8),  # member
+                st.integers(min_value=0, max_value=6),  # item
+                st.integers(min_value=0, max_value=2),  # country
+                st.integers(min_value=0, max_value=2),  # title
+            ),
+            max_size=50,
+        ),
+        filters(),
+        st.sampled_from(["item", "title"]),
+        st.booleans(),
+        st.integers(min_value=1, max_value=8),
+    )
+    def test_filtered_counts_match_brute_force(self, draws, spec, group_by, distinct, limit):
+        rows = [(f"m{m}", f"i{i}", {"country": f"c{c}", "title": f"t{t}"}) for m, i, c, t in draws]
+        table = table_of(rows, make_schema(item={}, country={}, title={}))
+
+        def matches(dims):
+            return all(
+                dims[column] == want if isinstance(want, str) else dims[column] in want
+                for column, want in spec.items()
+            )
+
+        expected = brute_force_group_by(
+            ((m, i if group_by == "item" else d[group_by]) for m, i, d in rows if matches(d)),
+            distinct=distinct,
+        )
+        aggregation = "distinct" if distinct else "raw"
+        assert table.group_counts(group_by, spec, aggregation) == expected
+        got = table.top_counts(group_by, spec, limit=limit, aggregation=aggregation)
+        assert list(got.entries) == sort_counts(expected)[:limit]
+
+
+class TestTieOrder:
+    VALUES = ["a", "a\x00", "A", "b", "\u00e9", "e\u0301", "\U0001f600", "\uffff", "a\x00\x00", "Z"]
+
+    def test_lookalike_values_stay_distinct_in_python_order(self, tmp_path):
+        # One member per value, so every count ties at 1 and the order is
+        # the element id order alone.
+        rows = [(f"m{n}", value, {"title": value}) for n, value in enumerate(self.VALUES)]
+        table = table_of(rows)
+        save_snapshot(table, tmp_path / "snap")
+        for t in (table, load_snapshot(tmp_path / "snap")):
+            for column in ("item", "title"):
+                got = t.top_counts(column, limit=len(self.VALUES) + 1)
+                assert got.entries == tuple((v, 1) for v in sorted(self.VALUES))
+                assert t.group_counts(column) == {v: 1 for v in self.VALUES}
+            assert t.top_counts("item", {"title": ["a", "Z"]}).entries == (("Z", 1), ("a", 1))
+            assert t.top_counts("item", {"title": "a\x00"}).entries == (("a\x00", 1),)
+
+
 class TestNormalizeFilter:
     def test_sorted_and_deduplicated(self):
         assert normalize_filter({"b": ["z", "y", "z"], "a": "x"}) == (
@@ -243,6 +321,17 @@ class TestNormalizeFilter:
 
     def test_empty(self):
         assert normalize_filter(None) == ()
+
+    @pytest.mark.parametrize("spec", [{"country": 3}, {"country": None}, {"country": {"x": 1}}, {"country": []}])
+    def test_malformed_term_names_its_column(self, spec):
+        # Both normalisers refuse the same filters with the same error.
+        for normalise in (normalize_filter, canonical_filter):
+            with pytest.raises(QueryError, match="'country'"):
+                normalise(spec)
+
+    def test_filter_must_be_a_mapping(self):
+        with pytest.raises(QueryError):
+            normalize_filter(["country"])
 
 
 class TestFileFormats:
@@ -275,6 +364,40 @@ class TestFileFormats:
         records = load_csv(path)
         assert records[1].item == "b"
         assert records[0].dimensions == {"title": "x"}
+
+    def test_snapshot_save_load_save_is_byte_identical(self, tmp_path):
+        schema = make_schema(item={}, title={"delta": 1}, country={"domain": ("de", "in")})
+        rnd = random.Random(3)
+        rows = [
+            (f"m{rnd.randrange(30)}", f"item{rnd.randrange(9)}",
+             {"title": rnd.choice(["x", "y\u00e9", "z\x00"]), "country": rnd.choice(["de", "in"])})
+            for _ in range(200)
+        ]
+        dates = [AS_OF - timedelta(days=rnd.randrange(5)) for _ in rows]
+        records = [r for row, when in zip(rows, dates) for r in make_records([row], when)]
+        save_snapshot(ingest(records, schema, AS_OF), tmp_path / "a")
+        save_snapshot(load_snapshot(tmp_path / "a"), tmp_path / "b")
+        for name in ("rows.ndjson", "manifest.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ('{"member_id":"m2","item":"b","event_date":"2020-06-30"}', "missing=['title']"),
+            ('{"member_id":"m2","item":"b","event_date":"2020-06-30","title":"x","country":"de"}',
+             "extra=['country']"),
+            ('{"member_id":"m2","event_date":"2020-06-30","title":"x"}', "missing fields ['item']"),
+            ('{"member_id":"m2","item":"b","event_date":"30.06.2020","title":"x"}', "bad event_date"),
+            ('{"member_id":"m2","item":["b"],"event_date":"2020-06-30","title":"x"}', "JSON scalars"),
+        ],
+    )
+    def test_snapshot_bad_row_names_its_index(self, tmp_path, line, reason):
+        table = table_of([("m1", "a", {"title": "x"})])
+        save_snapshot(table, tmp_path / "snap")
+        rows = tmp_path / "snap" / "rows.ndjson"
+        rows.write_text(rows.read_text() + line + "\n")
+        with pytest.raises(IngestError, match="row 1: .*" + re.escape(reason)):
+            load_snapshot(tmp_path / "snap")
 
     def test_snapshot_round_trip(self, tmp_path):
         schema = make_schema(item={}, title={"delta": 1})
