@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 from datetime import date
 
@@ -291,3 +292,80 @@ class TestCanonicalization:
         text = canonical_filter(spec)
         shuffled = dict(reversed(list(spec.items())))
         assert canonical_filter(shuffled) == text
+
+
+DIGEST_SEED = derive_seed(NoiseKey(SECRET, "keyed-noise-digest", date(2021, 2, 3)))
+
+# Labels covering ASCII, non-ASCII, astral and empty ids plus the reserved
+# threshold id: 2 000 in all.
+DIGEST_LABELS = (
+    ["", THRESHOLD_STREAM_ID]
+    + [f"e{i}" for i in range(1000)]
+    + [f"Zürich-{i}-日本" for i in range(499)]
+    + [f"\U0001F600{i}\U00010348" for i in range(499)]
+)
+
+# SHA-256 over every byte KeyedNoise releases for DIGEST_SEED and
+# DIGEST_LABELS; a change to any draw, however small, changes it.
+KEYED_NOISE_DIGEST = "2e2927737370fe14a0e127dcf332cc821fe2d651ae682cca47ebd2b345fb4b40"
+
+
+def _keyed_noise_bytes(noise: KeyedNoise) -> bytes:
+    parts = []
+    for scale in (0.75, 3.0):
+        parts.append(noise.labeled_laplace("count", DIGEST_LABELS, scale).tobytes())
+        parts.append(noise.labeled_gumbel("select", DIGEST_LABELS, scale).tobytes())
+        parts.append(noise.indexed_gumbel("cut", range(9, 1001), scale).tobytes())
+        parts.append(np.array([noise.single_laplace(x, scale) for x in DIGEST_LABELS]).tobytes())
+        parts.append(np.array([noise.single_gumbel(x, scale) for x in DIGEST_LABELS]).tobytes())
+    return b"".join(parts)
+
+
+class TestKeyedNoiseBytes:
+    def test_released_bytes_are_pinned(self):
+        digest = hashlib.sha256(_keyed_noise_bytes(KeyedNoise(DIGEST_SEED))).hexdigest()
+        assert digest == KEYED_NOISE_DIGEST
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.binary(min_size=32, max_size=32),
+        st.sampled_from(["select", "count", "value", "cut"]),
+        st.lists(st.text(max_size=6), max_size=12),
+        st.integers(min_value=0, max_value=50),
+        st.integers(min_value=0, max_value=12),
+        st.floats(min_value=1e-3, max_value=1e3),
+    )
+    def test_every_method_matches_the_reference_path(self, seed, role, labels, start, n, scale):
+        # Each draw is the first uniform of substream(seed, id) through the
+        # scalar inverse CDF, bit for bit.
+        noise = KeyedNoise(seed)
+
+        def lap(stream_id):
+            return laplace(substream(seed, stream_id), scale)
+
+        def gum(stream_id):
+            return gumbel(substream(seed, stream_id), scale)
+
+        indices = range(start, start + n)
+        assert noise.labeled_laplace(role, labels, scale).tobytes() == np.array(
+            [lap(f"{role}:{x}") for x in labels], dtype=np.float64).tobytes()
+        assert noise.labeled_gumbel(role, labels, scale).tobytes() == np.array(
+            [gum(f"{role}:{x}") for x in labels], dtype=np.float64).tobytes()
+        assert noise.indexed_gumbel(role, indices, scale).tobytes() == np.array(
+            [gum(f"{role}:{i}") for i in indices], dtype=np.float64).tobytes()
+        for x in labels + [THRESHOLD_STREAM_ID]:
+            assert np.float64(noise.single_laplace(x, scale)).tobytes() == np.float64(lap(x)).tobytes()
+            assert np.float64(noise.single_gumbel(x, scale)).tobytes() == np.float64(gum(x)).tobytes()
+
+    def test_scale_is_checked_for_every_method(self):
+        noise = KeyedNoise(DIGEST_SEED)
+        for call in (
+            lambda b: noise.labeled_laplace("count", ["a"], b),
+            lambda b: noise.labeled_gumbel("select", ["a"], b),
+            lambda b: noise.indexed_gumbel("cut", range(3), b),
+            lambda b: noise.single_laplace("a", b),
+            lambda b: noise.single_gumbel("a", b),
+        ):
+            for bad in (0.0, -1.0):
+                with pytest.raises(ParameterError):
+                    call(bad)
