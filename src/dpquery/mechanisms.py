@@ -226,8 +226,11 @@ def exp_known(
     elements = [e for e, _ in histogram]
     counts = np.array([c for _, c in histogram], dtype=np.float64)
     scores = counts + noise.labeled_gumbel(_ROLE_SELECT, elements, tau / params.eps_per)
-    # Ties broken by element id for a deterministic order.
-    order = sorted(range(d), key=lambda i: (-scores[i], elements[i]))[:k]
+    # Only scores at or above the k-th largest can win; sort just those,
+    # ties broken by element id for a deterministic order.
+    kth = np.partition(scores, d - k)[d - k]
+    candidates = np.flatnonzero(scores >= kth).tolist()
+    order = sorted(candidates, key=lambda i: (-scores[i], elements[i]))[:k]
     winners = [elements[i] for i in order]
     count_noise = noise.labeled_laplace(_ROLE_COUNT, winners, 2 * tau / params.eps_per)
     return [(elements[i], float(counts[i] + z)) for i, z in zip(order, count_noise)]

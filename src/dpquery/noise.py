@@ -12,7 +12,11 @@ Sampling uses inverse-CDF transforms of counter-mode PRF uniforms:
     Gumbel(b):   x = -b * ln(-ln u)
 
 Uniforms are clamped away from {0, 1} so neither transform can return an
-infinity.
+infinity.  The transforms are computed with libm through ``math``: numpy's
+``log`` and ``log1p`` can differ from it in the last bit, which would change
+released bytes.  :class:`KeyedNoise` takes the same two BLAKE2b calls per
+draw as the reference path (:func:`substream`, :class:`NoiseStream`), with
+the per-call work hoisted out of the loop.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import math
 import urllib.parse
 from dataclasses import dataclass
 from datetime import date
-from typing import Mapping, Protocol, Sequence
+from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -169,10 +173,14 @@ def substream(seed: bytes, element_id: str) -> NoiseStream:
     return NoiseStream(seed=child)
 
 
+def _check_scale(kind: str, scale: float) -> None:
+    if scale <= 0:
+        raise ParameterError(f"{kind} scale must be positive, got {scale}")
+
+
 def laplace_from_uniform(u: float, scale: float) -> float:
     """Inverse-CDF Laplace transform of one uniform in (0, 1)."""
-    if scale <= 0:
-        raise ParameterError(f"laplace scale must be positive, got {scale}")
+    _check_scale("laplace", scale)
     q = u - 0.5
     if q == 0.0:
         return 0.0
@@ -181,8 +189,7 @@ def laplace_from_uniform(u: float, scale: float) -> float:
 
 def gumbel_from_uniform(u: float, scale: float) -> float:
     """Inverse-CDF Gumbel transform of one uniform in (0, 1)."""
-    if scale <= 0:
-        raise ParameterError(f"gumbel scale must be positive, got {scale}")
+    _check_scale("gumbel", scale)
     return -scale * math.log(-math.log(u))
 
 
@@ -217,42 +224,73 @@ class NoiseSource(Protocol):
     def single_gumbel(self, stream_id: str, scale: float) -> float: ...
 
 
+# The one counter value a KeyedNoise draw uses: each draw is the first
+# block of its own substream.
+_COUNTER_0 = (0).to_bytes(8, "big")
+
+
 @dataclass
 class KeyedNoise:
-    """Deterministic noise source backed by per-label substreams of a seed."""
+    """Deterministic noise source backed by per-label substreams of a seed.
+
+    Draw ``x`` is the first uniform of ``substream(seed, x)``, computed
+    without building the stream: the seed-keyed BLAKE2b state is made once
+    and copied per label, and a vector call converts all its blocks to
+    uniforms in one numpy step (exact integer shifts and a power-of-two
+    scale).  The inverse CDFs stay scalar ``math`` calls.
+    """
 
     seed: bytes
 
-    def _draw(self, stream_id: str) -> float:
-        return substream(self.seed, stream_id).uniform()
+    def __post_init__(self) -> None:
+        self._keyed = hashlib.blake2b(key=self.seed, digest_size=32)
+
+    def _uniforms(self, stream_ids: Iterable[str]) -> list[float]:
+        keyed, blake2b = self._keyed, hashlib.blake2b
+        blocks = []
+        for stream_id in stream_ids:
+            child = keyed.copy()
+            child.update(stream_id.encode("utf-8"))
+            blocks.append(blake2b(_COUNTER_0, key=child.digest(), digest_size=8).digest())
+        bits = np.frombuffer(b"".join(blocks), dtype=">u8") >> 11
+        return np.clip(bits * _U_MIN, _U_MIN, _U_MAX).tolist()
+
+    def _laplace(self, stream_ids: Iterable[str], scale: float) -> np.ndarray:
+        _check_scale("laplace", scale)
+        copysign, log1p = math.copysign, math.log1p
+        return np.array(
+            [
+                0.0 if (q := u - 0.5) == 0.0 else -scale * copysign(1.0, q) * log1p(-2.0 * abs(q))
+                for u in self._uniforms(stream_ids)
+            ],
+            dtype=np.float64,
+        )
+
+    def _gumbel(self, stream_ids: Iterable[str], scale: float) -> np.ndarray:
+        _check_scale("gumbel", scale)
+        log = math.log
+        return np.array(
+            [-scale * log(-log(u)) for u in self._uniforms(stream_ids)], dtype=np.float64
+        )
 
     def labeled_laplace(
         self, role: str, labels: Sequence[str], scale: float
     ) -> np.ndarray:
-        return np.array(
-            [laplace_from_uniform(self._draw(f"{role}:{x}"), scale) for x in labels],
-            dtype=np.float64,
-        )
+        return self._laplace((f"{role}:{x}" for x in labels), scale)
 
     def labeled_gumbel(
         self, role: str, labels: Sequence[str], scale: float
     ) -> np.ndarray:
-        return np.array(
-            [gumbel_from_uniform(self._draw(f"{role}:{x}"), scale) for x in labels],
-            dtype=np.float64,
-        )
+        return self._gumbel((f"{role}:{x}" for x in labels), scale)
 
     def indexed_gumbel(self, role: str, indices: range, scale: float) -> np.ndarray:
-        return np.array(
-            [gumbel_from_uniform(self._draw(f"{role}:{i}"), scale) for i in indices],
-            dtype=np.float64,
-        )
+        return self._gumbel((f"{role}:{i}" for i in indices), scale)
 
     def single_laplace(self, stream_id: str, scale: float) -> float:
-        return laplace_from_uniform(self._draw(stream_id), scale)
+        return laplace_from_uniform(self._uniforms((stream_id,))[0], scale)
 
     def single_gumbel(self, stream_id: str, scale: float) -> float:
-        return gumbel_from_uniform(self._draw(stream_id), scale)
+        return gumbel_from_uniform(self._uniforms((stream_id,))[0], scale)
 
 
 class SimNoise:

@@ -240,7 +240,9 @@ class QueryService:
                 f"snapshot for {as_of.isoformat()} unavailable "
                 f"(table holds {table.as_of.isoformat()})"
             )
-        normalize_filter(query.filter)  # a malformed filter is refused before admission
+        # A malformed filter or an unknown column is refused before admission.
+        for column in (query.group_by, *(column for column, _ in normalize_filter(query.filter))):
+            table.require_column(column)
         qclass = self.classify(query)
         expected = expected_cost(qclass, query.k)
         reserved = self._ledger.try_reserve(query.analyst_id, expected)
@@ -348,6 +350,7 @@ class ServiceServer:
                 self._connections.add(conn)
             worker = threading.Thread(target=self._handle, args=(conn,), daemon=True)
             worker.start()
+            self._threads = [t for t in self._threads if t.is_alive()]
             self._threads.append(worker)
 
     def _handle(self, conn: socket.socket) -> None:

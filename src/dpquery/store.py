@@ -297,20 +297,21 @@ class Table:
             for m, i, d, *values in zip(members, items, dates, *columns)
         )
 
-    def _require_column(self, column: str) -> None:
+    def require_column(self, column: str) -> None:
+        """Raise :class:`QueryError` unless ``column`` belongs to the table."""
         if column not in self._columns and column not in self.schema.columns:
             raise QueryError(f"unknown column {column!r}")
 
     def domain_size(self, column: str) -> int | None:
         """Declared domain cardinality, or None when the domain is unknown."""
-        self._require_column(column)
+        self.require_column(column)
         meta = self.schema.meta(column)
         if meta is None or meta.domain is None:
             return None
         return len(meta.domain)
 
     def domain_values(self, column: str) -> tuple[str, ...] | None:
-        self._require_column(column)
+        self.require_column(column)
         meta = self.schema.meta(column)
         return None if meta is None or meta.domain is None else meta.domain
 
@@ -318,12 +319,12 @@ class Table:
         self, group_by: str, filter_spec: Mapping[str, object] | None, aggregation: str
     ) -> tuple[_Column, np.ndarray | None]:
         """The group-by column and the filter's row mask (None = no filter)."""
-        self._require_column(group_by)
+        self.require_column(group_by)
         if aggregation not in ("distinct", "raw"):
             raise QueryError(f"unknown aggregation {aggregation!r}")
         mask = None
         for column, values in normalize_filter(filter_spec):
-            self._require_column(column)
+            self.require_column(column)
             col = self._columns[column]
             wanted = [c for c in map(col.code, values) if c is not None]
             term = np.isin(col.codes, wanted, kind="sort")

@@ -138,6 +138,30 @@ class TestExpKnown:
         )
         assert hits >= 9_900
 
+    @pytest.mark.parametrize(
+        "hist, draws",
+        [
+            # Equal counts straddle every k; zero draws leave them tied.
+            ([("q", 3), ("b", 5), ("x", 3), ("a", 3), ("m", 1), ("c", 5), ("z", 3), ("e", 1)], None),
+            ([(f"v{i:02d}", 7) for i in reversed(range(12))], None),
+            # Gumbel draws that tie the noisy scores exactly.
+            ([("d", 1), ("b", 2), ("e", 3), ("a", 0), ("c", 2), ("f", 4)], [1.0, 0.0, -1.0, 2.0, 0.5, -2.0]),
+        ],
+    )
+    def test_tied_scores_follow_the_full_sort_for_every_k(self, hist, draws):
+        draws = draws or [0.0] * len(hist)
+
+        class FixedGumbel(ZeroNoise):
+            def labeled_gumbel(self, role, labels, scale):
+                return np.array(draws)
+
+        elements = [e for e, _ in hist]
+        scores = [c + z for (_, c), z in zip(hist, draws)]
+        for k in range(1, len(hist) + 1):
+            oracle = sorted(range(len(hist)), key=lambda i: (-scores[i], elements[i]))[:k]
+            out = exp_known(hist, k, 1, PrivacyParams(1.0), FixedGumbel())
+            assert out == [(elements[i], float(hist[i][1])) for i in oracle]
+
     def test_k_out_of_range(self):
         with pytest.raises(ParameterError):
             exp_known([("a", 1)], 2, 1, PrivacyParams(1.0), ZeroNoise())

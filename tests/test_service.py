@@ -212,6 +212,15 @@ class TestExecute:
         assert (rec.used_info, rec.used_calls) == (0, 0)
         assert (tmp_path / "budget.journal").read_bytes() == b""
 
+    @pytest.mark.parametrize("group_by, filter", [("nope", None), ("item", {"nope": "x"}), ("region", {"title": "title1", "nope": ["x"]})])
+    def test_unknown_column_rejected_before_budget(self, tmp_path, group_by, filter):
+        service = build_service(ledger=BudgetLedger(state_dir=tmp_path))
+        with pytest.raises(QueryError, match="unknown column 'nope'"):
+            service.execute(query(group_by=group_by, k=1, filter=filter))
+        rec = service.ledger.get_budget("alice")
+        assert (rec.used_info, rec.used_calls) == (0, 0)
+        assert (tmp_path / "budget.journal").read_bytes() == b""
+
     def test_bad_k_rejected_before_budget(self):
         service = build_service()
         with pytest.raises(QueryError):
@@ -419,6 +428,17 @@ class TestServer:
         finally:
             for client in clients:
                 client.close()
+
+    def test_finished_workers_are_pruned(self):
+        server = ServiceServer(build_service()).start()
+        try:
+            for _ in range(50):
+                client = Client(server.address)
+                assert client.send({"op": "ping"})["status"] == "ok"
+                client.close()
+            assert len(server._threads) <= 5
+        finally:
+            server.stop()
 
     def test_unknown_op(self):
         server = ServiceServer(build_service()).start()
