@@ -14,9 +14,9 @@ restricted sensitivity bound Delta and a release o:
     known/unrestricted    expected (2k, 0)           actual (2k, 0)
     unknown/unrestricted  expected (2k + 1, 1)       actual (2|o| + 1 - [ended at sentinel], 1)
 
-The ledger is linearizable per analyst: check-and-deduct for one admission
-is a single atomic transaction, and concurrent deducts never lose updates
-or push usage past the maximum.  State is durable through an append-only
+The ledger is linearizable: check-and-deduct for one admission is a single
+atomic step under one lock, and concurrent deducts never lose updates or
+push usage past the maximum.  State is durable through an append-only
 binary journal plus a JSON snapshot (see docs/formats.md).
 """
 
@@ -26,11 +26,10 @@ import json
 import os
 import struct
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping
 
 from .mechanisms import DPResult
 
@@ -40,6 +39,7 @@ __all__ = [
     "BudgetRecord",
     "BudgetError",
     "BudgetLedger",
+    "encode_analyst_id",
     "expected_cost",
     "actual_cost",
     "DEFAULT_INFO_BUDGET",
@@ -50,6 +50,9 @@ DEFAULT_INFO_BUDGET = 3000
 DEFAULT_CALL_BUDGET = 30
 
 _JOURNAL_RECORD = struct.Struct(">iiq")  # info, calls, unix-millis (id prefixed)
+_MAX_ID_BYTES = 0xFFFF  # the id's u16 length prefix
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MILLISECOND = timedelta(milliseconds=1)
 _SNAPSHOT_VERSION = 1
 
 
@@ -156,6 +159,33 @@ def _period_start(period: str, last_reset: datetime, now: datetime) -> datetime:
     raise ValueError(f"unknown refresh period {period!r}")
 
 
+def _next_period_start(period: str, last_reset: datetime) -> datetime:
+    """The earliest ``now`` for which ``_period_start`` lies after ``last_reset``."""
+    if period == "monthly":
+        year, month = divmod(last_reset.year * 12 + last_reset.month, 12)
+        return datetime(year, month + 1, 1, tzinfo=timezone.utc)
+    return last_reset + timedelta(days=int(period.split(":", 1)[1]))
+
+
+def encode_analyst_id(analyst_id: object) -> bytes:
+    """The journal bytes of an analyst id.
+
+    Raises BudgetError unless the id is a str whose strict UTF-8 encoding
+    fits the record's u16 length prefix (at most 65,535 bytes).
+    """
+    if not isinstance(analyst_id, str):
+        raise BudgetError(f"analyst_id must be a string, not {type(analyst_id).__name__}")
+    try:
+        encoded = analyst_id.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise BudgetError(f"analyst_id is not encodable as UTF-8: {exc.reason}") from None
+    if len(encoded) > _MAX_ID_BYTES:
+        raise BudgetError(
+            f"analyst_id is {len(encoded)} UTF-8 bytes; at most {_MAX_ID_BYTES} are allowed"
+        )
+    return encoded
+
+
 class BudgetLedger:
     """Durable, linearizable per-analyst budget store.
 
@@ -163,6 +193,10 @@ class BudgetLedger:
     contact.  Refresh is lazy: usage is zeroed the first time an analyst is
     touched inside a new period, matching a store that resets on the first
     query of the period.
+
+    One lock covers the records, the journal and the snapshot.  A change is
+    journaled before it is applied in memory, so a snapshot holds either
+    both or neither, and a change that cannot be journaled is not applied.
     """
 
     def __init__(
@@ -180,9 +214,7 @@ class BudgetLedger:
         self._overrides = dict(overrides or {})
         self._clock = clock or (lambda: datetime.now(timezone.utc))
         self._records: dict[str, BudgetRecord] = {}
-        self._locks: dict[str, threading.RLock] = {}
-        self._locks_guard = threading.Lock()
-        self._io_lock = threading.Lock()
+        self._lock = threading.RLock()
         self._journal_fh = None
         self._state_dir = Path(state_dir) if state_dir is not None else None
         if self._state_dir is not None:
@@ -221,42 +253,82 @@ class BudgetLedger:
                 )
         if self._journal_path.exists():
             data = self._journal_path.read_bytes()
-            whole = 0
-            for analyst_id, info, calls, ts_ms, whole in _read_journal(data):
-                when = datetime.fromtimestamp(ts_ms / 1000, tz=timezone.utc)
-                rec = self._registered(analyst_id, when)
-                rec = self._refreshed(rec, when)
-                self._records[analyst_id] = replace(
-                    rec,
-                    used_info=_clamp(rec.used_info + info, rec.max_info),
-                    used_calls=_clamp(rec.used_calls + calls, rec.max_calls),
-                )
+            whole = self._replay(data)
             # Drop a torn tail, so that records appended from now on are read
             # back from a record boundary rather than from inside garbage.
             if whole < len(data):
                 os.truncate(self._journal_path, whole)
 
-    def _append_journal(self, analyst_id: str, info: int, calls: int) -> None:
+    def _replay(self, data: bytes) -> int:
+        """Apply the whole journal records in ``data`` in file order; return
+        the offset just past the last whole record.
+
+        Per record, this is what a change does live: register the analyst,
+        refresh at the record's timestamp, add the delta clamped to
+        [0, max].  Usage is kept as plain ints per raw id; dates are built
+        only when an analyst is first seen or a record reaches the analyst's
+        next period start, and one record per analyst is written at the end.
+        """
+        # raw id -> [used_info, used_calls, boundary_ms, max_info, max_calls, analyst_id]
+        seen: dict[bytes, list] = {}
+        unpack, size = _JOURNAL_RECORD.unpack_from, _JOURNAL_RECORD.size
+        pos, end = 0, len(data)
+        while pos + 2 <= end:
+            id_end = pos + 2 + (data[pos] << 8 | data[pos + 1])
+            if id_end + size > end:
+                break  # torn tail from a crash mid-append
+            raw = data[pos + 2 : id_end]
+            info, calls, ts_ms = unpack(data, id_end)
+            pos = id_end + size
+            state = seen.get(raw)
+            if state is None or ts_ms >= state[2]:
+                when = datetime.fromtimestamp(ts_ms / 1000, tz=timezone.utc)
+                if state is None:
+                    rec = self._registered(raw.decode("utf-8"), when)
+                    state = seen[raw] = [
+                        rec.used_info, rec.used_calls, 0, rec.max_info, rec.max_calls, rec.analyst_id
+                    ]
+                else:
+                    rec = self._records[state[5]]
+                fresh = self._refreshed(rec, when)
+                if fresh is not rec:
+                    state[0] = state[1] = 0
+                # Floored to the millisecond: a record before it cannot
+                # refresh, one at or after it takes this exact path again.
+                state[2] = (
+                    _next_period_start(self._period, fresh.last_reset) - _EPOCH
+                ) // _MILLISECOND
+            used = state[0] + info  # _clamp, inline
+            if used > state[3]:
+                used = state[3]
+            state[0] = used if used > 0 else 0
+            used = state[1] + calls
+            if used > state[4]:
+                used = state[4]
+            state[1] = used if used > 0 else 0
+        for used_info, used_calls, _, _, _, analyst_id in seen.values():
+            self._records[analyst_id] = replace(
+                self._records[analyst_id], used_info=used_info, used_calls=used_calls
+            )
+        return pos
+
+    def _append_journal(self, encoded_id: bytes, info: int, calls: int, now: datetime) -> None:
         if self._state_dir is None:
             return
-        encoded = analyst_id.encode("utf-8")
-        ts_ms = int(self._clock().timestamp() * 1000)
-        payload = (
-            len(encoded).to_bytes(2, "big")
-            + encoded
-            + _JOURNAL_RECORD.pack(info, calls, ts_ms)
+        if self._journal_fh is None:
+            raise BudgetError("ledger is closed; the change cannot be journaled")
+        self._journal_fh.write(
+            len(encoded_id).to_bytes(2, "big")
+            + encoded_id
+            + _JOURNAL_RECORD.pack(info, calls, int(now.timestamp() * 1000))
         )
-        with self._io_lock:
-            if self._journal_fh is None:
-                raise BudgetError("ledger is closed; the change cannot be journaled")
-            self._journal_fh.write(payload)
-            self._journal_fh.flush()
+        self._journal_fh.flush()
 
     def snapshot(self) -> None:
         """Write a snapshot and truncate the journal."""
         if self._state_dir is None:
             return
-        with self._io_lock:
+        with self._lock:
             records = {
                 a: {
                     "max_info": r.max_info,
@@ -289,20 +361,13 @@ class BudgetLedger:
         """Flush and snapshot; the ledger must not be used afterwards."""
         if self._state_dir is None:
             return
-        self.snapshot()
-        with self._io_lock:
+        with self._lock:
+            self.snapshot()
             if self._journal_fh is not None:
                 self._journal_fh.close()
                 self._journal_fh = None
 
     # -- registration and refresh -------------------------------------------
-
-    def _lock_for(self, analyst_id: str) -> threading.RLock:
-        with self._locks_guard:
-            lock = self._locks.get(analyst_id)
-            if lock is None:
-                lock = self._locks[analyst_id] = threading.RLock()
-            return lock
 
     def _registered(self, analyst_id: str, now: datetime) -> BudgetRecord:
         rec = self._records.get(analyst_id)
@@ -328,71 +393,65 @@ class BudgetLedger:
             self._records[rec.analyst_id] = rec
         return rec
 
-    def _current(self, analyst_id: str) -> BudgetRecord:
-        now = self._clock()
+    def _current(self, analyst_id: str, now: datetime) -> BudgetRecord:
         return self._refreshed(self._registered(analyst_id, now), now)
 
-    @contextmanager
-    def transaction(self, analyst_id: str) -> Iterator[None]:
-        """Serialize a multi-step operation on one analyst's budget."""
-        with self._lock_for(analyst_id):
-            yield
+    def _apply(self, analyst_id: str, info: int, calls: int, must_fit: bool = False) -> BudgetRecord | None:
+        """The one mutation: journal a usage change, then apply it.
+
+        With ``must_fit`` a change that does not fit the budget is refused
+        (None) and nothing happens; otherwise usage is clamped to [0, max],
+        as replay clamps each record.  A change of zero is not journaled.
+        """
+        encoded = encode_analyst_id(analyst_id)
+        with self._lock:
+            now = self._clock()  # one reading: the refresh and the record agree
+            rec = self._current(analyst_id, now)
+            used_info, used_calls = rec.used_info + info, rec.used_calls + calls
+            if must_fit and (used_info > rec.max_info or used_calls > rec.max_calls):
+                return None
+            if info or calls:
+                self._append_journal(encoded, info, calls, now)
+            rec = replace(
+                rec,
+                used_info=_clamp(used_info, rec.max_info),
+                used_calls=_clamp(used_calls, rec.max_calls),
+            )
+            self._records[analyst_id] = rec
+            return rec
 
     # -- the three store methods ---------------------------------------------
 
     def check_budget(self, analyst_id: str, cost: Cost) -> bool:
         """True iff the analyst can afford ``cost`` right now; no mutation."""
-        with self._lock_for(analyst_id):
-            rec = self._current(analyst_id)
-            return (
-                rec.used_info + cost.info <= rec.max_info
-                and rec.used_calls + cost.calls <= rec.max_calls
-            )
+        rec = self.get_budget(analyst_id)
+        return (
+            rec.used_info + cost.info <= rec.max_info
+            and rec.used_calls + cost.calls <= rec.max_calls
+        )
 
     def update_budget(self, analyst_id: str, cost: Cost) -> BudgetRecord:
-        """Deduct ``cost``; caller must have checked inside the same transaction."""
-        with self._lock_for(analyst_id):
-            rec = self._current(analyst_id)
-            new_info = rec.used_info + cost.info
-            new_calls = rec.used_calls + cost.calls
-            if new_info > rec.max_info or new_calls > rec.max_calls:
-                raise BudgetError(
-                    f"deduction of {cost} would exceed budget for {analyst_id!r}"
-                )
-            rec = replace(rec, used_info=new_info, used_calls=new_calls)
-            self._records[analyst_id] = rec
-            self._append_journal(analyst_id, cost.info, cost.calls)
-            return rec
+        """Deduct ``cost``; BudgetError when it does not fit."""
+        rec = self._apply(analyst_id, cost.info, cost.calls, must_fit=True)
+        if rec is None:
+            raise BudgetError(f"deduction of {cost} would exceed budget for {analyst_id!r}")
+        return rec
 
     def get_budget(self, analyst_id: str) -> BudgetRecord:
         """Current record, after applying any due lazy refresh."""
-        with self._lock_for(analyst_id):
-            return self._current(analyst_id)
+        encode_analyst_id(analyst_id)
+        with self._lock:
+            return self._current(analyst_id, self._clock())
 
     # -- admission protocol ---------------------------------------------------
 
     def try_reserve(self, analyst_id: str, cost: Cost) -> BudgetRecord | None:
         """Atomically check and deduct; None when the budget does not cover it."""
-        with self._lock_for(analyst_id):
-            if not self.check_budget(analyst_id, cost):
-                return None
-            return self.update_budget(analyst_id, cost)
+        return self._apply(analyst_id, cost.info, cost.calls, must_fit=True)
 
     def settle(self, analyst_id: str, reserved: Cost, actual: Cost) -> BudgetRecord:
         """Adjust a reservation down to the realized cost."""
-        with self._lock_for(analyst_id):
-            rec = self._current(analyst_id)
-            d_info = actual.info - reserved.info
-            d_calls = actual.calls - reserved.calls
-            rec = replace(
-                rec,
-                used_info=_clamp(rec.used_info + d_info, rec.max_info),
-                used_calls=_clamp(rec.used_calls + d_calls, rec.max_calls),
-            )
-            self._records[analyst_id] = rec
-            if d_info or d_calls:
-                self._append_journal(analyst_id, d_info, d_calls)
-            return rec
+        return self._apply(analyst_id, actual.info - reserved.info, actual.calls - reserved.calls)
 
     def release(self, analyst_id: str, reserved: Cost) -> BudgetRecord:
         """Return a reservation in full (mechanism failed, nothing released)."""
@@ -400,36 +459,14 @@ class BudgetLedger:
 
     def reset_usage(self, analyst_id: str) -> BudgetRecord:
         """Admin operation: zero an analyst's usage, journaled as a refund."""
-        with self._lock_for(analyst_id):
-            rec = self._current(analyst_id)
-            if rec.used_info or rec.used_calls:
-                self._append_journal(analyst_id, -rec.used_info, -rec.used_calls)
-            rec = replace(rec, used_info=0, used_calls=0)
-            self._records[analyst_id] = rec
-            return rec
+        with self._lock:
+            rec = self.get_budget(analyst_id)
+            return self._apply(analyst_id, -rec.used_info, -rec.used_calls)
 
     def analysts(self) -> list[str]:
-        return sorted(self._records)
+        with self._lock:
+            return sorted(self._records)
 
 
 def _clamp(value: int, upper: int) -> int:
     return max(0, min(value, upper))
-
-
-def _read_journal(data: bytes) -> Iterator[tuple[str, int, int, int, int]]:
-    """Yield (analyst_id, info, calls, unix_millis, end offset) per whole
-    journal record; a truncated tail from a crash is left out."""
-    pos = 0
-    while pos < len(data):
-        if pos + 2 > len(data):
-            break  # truncated tail from a crash; ignore
-        id_len = int.from_bytes(data[pos : pos + 2], "big")
-        end = pos + 2 + id_len + _JOURNAL_RECORD.size
-        if end > len(data):
-            break
-        analyst_id = data[pos + 2 : pos + 2 + id_len].decode("utf-8")
-        info, calls, ts_ms = _JOURNAL_RECORD.unpack(
-            data[pos + 2 + id_len : end]
-        )
-        yield analyst_id, info, calls, ts_ms, end
-        pos = end

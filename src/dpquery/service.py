@@ -27,7 +27,14 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Mapping
 
-from .budget import BudgetLedger, Cost, QueryClass, actual_cost, expected_cost
+from .budget import (
+    BudgetLedger,
+    Cost,
+    QueryClass,
+    actual_cost,
+    encode_analyst_id,
+    expected_cost,
+)
 from .config import FetchRule, ServiceConfig
 from .mechanisms import (
     DPResult,
@@ -300,12 +307,21 @@ def service_from_config(config: ServiceConfig, tables: Mapping[str, Table] | Non
 
 
 def _parse_query(payload: Mapping[str, object]) -> QuerySpec:
+    """A query request, refused unless its names are strings, the analyst id
+    fits the budget journal and ``k`` is a JSON integer."""
+    for name in ("analyst_id", "table", "group_by"):
+        if not isinstance(payload[name], str):
+            raise QueryError(f"{name} must be a string")
+    encode_analyst_id(payload["analyst_id"])
+    k = payload["k"]
+    if type(k) is not int:  # JSON true is a bool, 5.0 a float
+        raise QueryError(f"k must be a JSON integer, not {type(k).__name__}")
     as_of = payload.get("as_of_date")
     return QuerySpec(
-        analyst_id=str(payload["analyst_id"]),
-        table=str(payload["table"]),
-        group_by=str(payload["group_by"]),
-        k=int(payload["k"]),
+        analyst_id=payload["analyst_id"],
+        table=payload["table"],
+        group_by=payload["group_by"],
+        k=k,
         filter=payload.get("filter"),
         as_of_date=date.fromisoformat(str(as_of)) if as_of else None,
     )
@@ -378,7 +394,7 @@ class ServiceServer:
             if op == "ping":
                 return {"status": "ok", "pong": True}
             if op == "get_budget":
-                rec = self._service.ledger.get_budget(str(payload["analyst_id"]))
+                rec = self._service.ledger.get_budget(payload["analyst_id"])
                 return {
                     "status": "ok",
                     "analyst_id": rec.analyst_id,

@@ -3,15 +3,17 @@
 Everything here is deliberately written from scratch against the math, not
 by calling into the package: a high-precision Decimal evaluation of the
 composition bound, a plain brute-force group-by, a linear-space bisection
-for the threshold root, and a straight-line replay of the budget update
-rules.
+for the threshold root, a straight-line replay of the budget update rules,
+and a record-by-record replay of the budget journal.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+from datetime import datetime, timedelta, timezone
 from decimal import Decimal, getcontext
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 def br_compose_decimal(eps: str | float, t: int, delta_prime: str | float, prec: int = 60) -> Decimal:
@@ -117,6 +119,65 @@ class BudgetReplay:
         self.used_calls += calls
         assert 0 <= self.used_info <= self.max_info
         assert 0 <= self.used_calls <= self.max_calls
+
+
+def replay_budget_journal(
+    data: bytes,
+    snapshot: Mapping[str, Mapping[str, int]],
+    default: tuple[int, int],
+    overrides: Mapping[str, tuple[int, int]],
+    period: str,
+) -> tuple[dict[str, tuple[int, int, int, int, datetime]], int]:
+    """Record-by-record replay of a budget journal on top of a snapshot.
+
+    ``snapshot`` maps analyst ids to the snapshot file's record fields.  Each
+    whole record, in file order, decodes its id, registers the analyst if
+    new (overrides, else ``default``; reset at the start of the period
+    holding the record's time), refreshes at the record's timestamp, and
+    adds its deltas clamped to [0, max].  Returns
+    ``{analyst: (max_info, max_calls, used_info, used_calls, last_reset)}``
+    and the offset just past the last whole record.
+    """
+
+    def period_start(last_reset: datetime, now: datetime) -> datetime:
+        if period == "monthly":
+            return datetime(now.year, now.month, 1, tzinfo=timezone.utc)
+        length = timedelta(days=int(period.split(":", 1)[1]))
+        if now - last_reset < length:
+            return last_reset
+        return last_reset + (now - last_reset) // length * length
+
+    def clamp(value: int, upper: int) -> int:
+        return max(0, min(value, upper))
+
+    records = {
+        analyst: [
+            raw["max_info"], raw["max_calls"], raw["used_info"], raw["used_calls"],
+            datetime.fromtimestamp(raw["last_reset_ms"] / 1000, tz=timezone.utc),
+        ]
+        for analyst, raw in snapshot.items()
+    }
+    tail = struct.Struct(">iiq")
+    pos = whole = 0
+    while pos + 2 <= len(data):
+        id_len = int.from_bytes(data[pos : pos + 2], "big")
+        end = pos + 2 + id_len + tail.size
+        if end > len(data):
+            break
+        analyst = data[pos + 2 : pos + 2 + id_len].decode("utf-8")
+        info, calls, ts_ms = tail.unpack(data[pos + 2 + id_len : end])
+        when = datetime.fromtimestamp(ts_ms / 1000, tz=timezone.utc)
+        rec = records.get(analyst)
+        if rec is None:
+            max_info, max_calls = overrides.get(analyst, default)
+            rec = records[analyst] = [max_info, max_calls, 0, 0, period_start(when, when)]
+        start = period_start(rec[4], when)
+        if start > rec[4]:
+            rec[2:] = [0, 0, start]
+        rec[2] = clamp(rec[2] + info, rec[0])
+        rec[3] = clamp(rec[3] + calls, rec[1])
+        pos = whole = end
+    return {analyst: tuple(rec) for analyst, rec in records.items()}, whole
 
 
 def chi_square_stat(observed: Sequence[int], probs: Sequence[float]) -> float:

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import json
 import random
+import struct
+import tempfile
 import threading
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpquery.budget import (
     BudgetError,
@@ -15,7 +21,7 @@ from dpquery.budget import (
     expected_cost,
 )
 from dpquery.mechanisms import DPResult
-from oracles import BudgetReplay
+from oracles import BudgetReplay, replay_budget_journal
 
 UNKNOWN_UNRESTRICTED = QueryClass("unknown", "unrestricted")
 UNKNOWN_RESTRICTED_1 = QueryClass("unknown", "restricted", delta_sensitivity=1)
@@ -277,6 +283,59 @@ class TestPersistence:
         rec = reopened.get_budget("a")
         assert (rec.used_info, rec.used_calls) == (0, 0)
 
+    def test_snapshot_between_change_and_append_applies_it_once(self, tmp_path, monkeypatch):
+        # A snapshot taken by another thread while a settle is being
+        # journaled must not capture the refund and then see it appended
+        # again: recovery would apply it twice.
+        ledger = BudgetLedger(state_dir=tmp_path)
+        ledger.try_reserve("a", Cost(3000, 1))
+        append = BudgetLedger._append_journal
+        hooked: list[threading.Thread] = []
+
+        def append_after_snapshot(self, *args):
+            snapper = threading.Thread(target=self.snapshot)
+            snapper.start()
+            snapper.join(timeout=1.0)  # blocks only while the change holds the lock
+            append(self, *args)
+            hooked.append(snapper)
+
+        monkeypatch.setattr(BudgetLedger, "_append_journal", append_after_snapshot)
+        live = ledger.settle("a", Cost(3000, 1), Cost(1000, 1))
+        for snapper in hooked:
+            snapper.join(timeout=10)
+            assert not snapper.is_alive()
+        monkeypatch.undo()
+        recovered = BudgetLedger(state_dir=tmp_path).get_budget("a")
+        assert live.used_info == 1000
+        assert (recovered.used_info, recovered.used_calls) == (live.used_info, live.used_calls)
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["a" * 70_000, "\u00e9" * 32_768, "\ud800", 7, None, b"a"],
+        ids=["70000-ascii", "65536-bytes", "lone-surrogate", "int", "none", "bytes"],
+    )
+    def test_refused_analyst_id_changes_nothing(self, tmp_path, bad):
+        ledger = BudgetLedger(state_dir=tmp_path)
+        ledger.try_reserve("a", Cost(5, 0))
+        journal = (tmp_path / "budget.journal").read_bytes()
+        for call in (
+            lambda: ledger.try_reserve(bad, Cost(5, 0)),
+            lambda: ledger.update_budget(bad, Cost(5, 0)),
+            lambda: ledger.settle(bad, Cost(5, 0), Cost(1, 0)),
+            lambda: ledger.get_budget(bad),
+            lambda: ledger.reset_usage(bad),
+        ):
+            with pytest.raises(BudgetError):
+                call()
+        assert ledger.analysts() == ["a"]
+        assert (tmp_path / "budget.journal").read_bytes() == journal
+
+    def test_longest_analyst_id_round_trips(self, tmp_path):
+        longest = "\u00e9" * 32_767 + "a"  # 65,535 UTF-8 bytes
+        ledger = BudgetLedger(state_dir=tmp_path)
+        ledger.try_reserve(longest, Cost(5, 1))
+        assert BudgetLedger(state_dir=tmp_path).get_budget(longest).used_info == 5
+
     def test_journal_format_is_length_prefixed(self, tmp_path):
         ledger = BudgetLedger(state_dir=tmp_path)
         ledger.update_budget("ana", Cost(7, 2))
@@ -325,3 +384,109 @@ class TestReplayOracle:
                     oracle.used_info,
                     oracle.used_calls,
                 )
+
+
+DAY_MS = 86_400_000
+T0_MS = int(datetime(2020, 1, 1, tzinfo=timezone.utc).timestamp() * 1000)  # a month start
+IDS = ["a", "b", "vip", "", "\u00e9l\u00e8ve", "\u65e5\u672c", "\U0001f600x", "\U00010348"]
+RECORD = struct.Struct(">iiq")
+
+# Whole days from T0 (so month starts and days:N boundaries of analysts
+# registered on a whole day), one millisecond either side, or anywhere.
+times_ms = st.builds(
+    lambda day, offset: T0_MS + day * DAY_MS + offset,
+    st.integers(-2, 70),
+    st.sampled_from([-1, 0, 1]) | st.integers(0, DAY_MS - 1),
+)
+journal_records = st.lists(
+    st.tuples(st.sampled_from(IDS), st.integers(-60, 60), st.integers(-6, 6), times_ms),
+    max_size=60,
+)
+snapshot_records = st.dictionaries(
+    st.sampled_from(IDS),
+    st.builds(
+        lambda max_info, max_calls, used, calls, reset: {
+            "max_info": max_info, "max_calls": max_calls,
+            "used_info": min(used, max_info), "used_calls": min(calls, max_calls),
+            "last_reset_ms": reset,
+        },
+        st.integers(0, 80), st.integers(0, 8), st.integers(0, 80), st.integers(0, 8), times_ms,
+    ),
+    max_size=4,
+)
+
+
+def encode_record(analyst: str, info: int, calls: int, ts_ms: int) -> bytes:
+    encoded = analyst.encode("utf-8")
+    return len(encoded).to_bytes(2, "big") + encoded + RECORD.pack(info, calls, ts_ms)
+
+
+def recovered_state(state_dir: Path, journal: bytes, snapshot, default, overrides, period):
+    """Recover a ledger from the given files; its records as the oracle
+    returns them, and the journal's length after recovery."""
+    (state_dir / "budget.journal").write_bytes(journal)
+    if snapshot:
+        (state_dir / "budget.snapshot.json").write_text(
+            json.dumps({"version": 1, "taken_at_ms": T0_MS, "records": snapshot})
+        )
+    ledger = BudgetLedger(
+        default_info=default[0], default_calls=default[1], period=period,
+        overrides=overrides, state_dir=state_dir,
+    )
+    records = {
+        a: (r.max_info, r.max_calls, r.used_info, r.used_calls, r.last_reset)
+        for a, r in ledger._records.items()
+    }
+    assert all(r.period == period for r in ledger._records.values())
+    return records, (state_dir / "budget.journal").stat().st_size
+
+
+class TestReplayProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        records=journal_records,
+        snapshot=snapshot_records,
+        default=st.tuples(st.integers(0, 80), st.integers(0, 8)),
+        overrides=st.dictionaries(
+            st.sampled_from(IDS), st.tuples(st.integers(0, 80), st.integers(0, 8)), max_size=3
+        ),
+        period=st.sampled_from(["monthly", "days:1", "days:7", "days:30"]),
+        torn=st.integers(0, 40),
+    )
+    def test_recovery_matches_record_by_record_replay(
+        self, records, snapshot, default, overrides, period, torn
+    ):
+        journal = b"".join(encode_record(*r) for r in records)
+        extra = encode_record("\U0001f600x", 1, 1, T0_MS)
+        journal += extra[: min(torn, len(extra) - 1)]
+        expected = replay_budget_journal(journal, snapshot, default, overrides, period)
+        with tempfile.TemporaryDirectory() as state_dir:
+            got = recovered_state(Path(state_dir), journal, snapshot, default, overrides, period)
+        assert got == expected
+
+    def test_every_torn_tail_length(self, tmp_path):
+        whole = encode_record("\u65e5\u672c", 9, 1, T0_MS) + encode_record("a", 4, 0, T0_MS + 5)
+        extra = encode_record("\U0001f600x", 1, 1, T0_MS + 9)
+        for cut in range(len(extra)):
+            state_dir = tmp_path / str(cut)
+            state_dir.mkdir()
+            journal = whole + extra[:cut]
+            expected = replay_budget_journal(journal, {}, (100, 5), {}, "monthly")
+            got = recovered_state(state_dir, journal, {}, (100, 5), {}, "monthly")
+            assert got == expected
+            assert got[1] == len(whole)
+
+    @pytest.mark.parametrize("period, boundary", [
+        ("monthly", datetime(2020, 2, 1, tzinfo=timezone.utc)),
+        ("days:7", datetime(2020, 1, 17, 12, tzinfo=timezone.utc)),
+    ])
+    def test_refresh_exactly_at_the_period_start(self, tmp_path, period, boundary):
+        start = datetime(2020, 1, 10, 12, tzinfo=timezone.utc)
+        at = int(boundary.timestamp() * 1000)
+        journal = b"".join([
+            encode_record("a", 50, 2, int(start.timestamp() * 1000)),
+            encode_record("a", 5, 0, at - 1),
+            encode_record("a", 7, 1, at),
+        ])
+        records, _ = recovered_state(tmp_path, journal, {}, (100, 5), {}, period)
+        assert records["a"][2:] == (7, 1, boundary)

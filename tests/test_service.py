@@ -440,6 +440,29 @@ class TestServer:
         finally:
             server.stop()
 
+    @pytest.mark.parametrize("field, value", [
+        ("k", 5.9), ("k", True), ("k", "7"),
+        ("analyst_id", {"x": 1}), ("analyst_id", 7), ("analyst_id", "a" * 70_000),
+        ("table", ["events"]), ("group_by", None),
+    ], ids=["k-float", "k-true", "k-string", "id-object", "id-int", "id-oversize", "table-list", "group_by-null"])
+    def test_malformed_field_refused_before_admission(self, tmp_path, field, value):
+        server = ServiceServer(build_service(ledger=BudgetLedger(state_dir=tmp_path))).start()
+        client = Client(server.address)
+        request = {"op": "query", "analyst_id": "fay", "table": "events", "group_by": "region", "k": 1}
+        try:
+            reply = client.send({**request, field: value})
+            assert reply["status"] == "error"
+            if field == "analyst_id":
+                assert client.send({"op": "get_budget", "analyst_id": value})["status"] == "error"
+            assert (tmp_path / "budget.journal").read_bytes() == b""
+            assert server._service.ledger.analysts() == []
+            assert client.send(request)["status"] == "ok"  # the well-formed request is charged
+            budget = client.send({"op": "get_budget", "analyst_id": "fay"})
+            assert budget["used"] == {"info": 1, "calls": 0}
+        finally:
+            client.close()
+            server.stop()
+
     def test_unknown_op(self):
         server = ServiceServer(build_service()).start()
         client = Client(server.address)
