@@ -13,11 +13,10 @@ import threading
 from datetime import date
 from pathlib import Path
 
-from .budget import BudgetLedger
 from .calibration import full_report
 from .composition import PerQueryParams, SystemPrivacyBudget, br_compose, overall_guarantee, solve_eps_per
 from .config import load_config
-from .service import QuerySpec, ServiceServer, service_from_config
+from .service import QuerySpec, ServiceServer, ledger_from_config, service_from_config
 from .store import Schema, ingest, load_csv, load_ndjson, save_snapshot
 
 
@@ -139,7 +138,10 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_budget(args: argparse.Namespace) -> int:
-    ledger = BudgetLedger(state_dir=args.state_dir)
+    config = load_config(args.config)
+    if config.state_dir is None:
+        raise SystemExit("budget needs a config with a state_dir")
+    ledger = ledger_from_config(config)
     try:
         if args.mode == "show":
             analysts = [args.analyst] if args.analyst else ledger.analysts()
@@ -220,10 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("budget", help="inspect or reset analyst budgets")
     bud = p.add_subparsers(dest="mode", required=True)
     show = bud.add_parser("show")
-    show.add_argument("--state-dir", required=True)
+    show.add_argument("--config", required=True)
     show.add_argument("--analyst")
     reset = bud.add_parser("reset")
-    reset.add_argument("--state-dir", required=True)
+    reset.add_argument("--config", required=True)
     reset.add_argument("--analyst", required=True)
     p.set_defaults(func=_cmd_budget)
 

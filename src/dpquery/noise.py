@@ -313,6 +313,8 @@ class SimNoise:
     def _take(self, kind: str, scale: float, n: int) -> np.ndarray:
         buf, pos = self._buffers.get((kind, scale), (None, 0))
         if buf is None or pos + n > buf.shape[0]:
+            # Checked on the first fill: a refused scale never gets a buffer.
+            _check_scale(kind, scale)
             size = max(self._block, n)
             if kind == "laplace":
                 buf = self._rng.laplace(0.0, scale, size=size)
@@ -327,28 +329,18 @@ class SimNoise:
         return buf[pos : pos + n]
 
     def labeled_laplace(self, role, labels, scale: float) -> np.ndarray:
-        if scale <= 0:
-            raise ParameterError(f"laplace scale must be positive, got {scale}")
         return self._take("laplace", scale, len(labels))
 
     def labeled_gumbel(self, role, labels, scale: float) -> np.ndarray:
-        if scale <= 0:
-            raise ParameterError(f"gumbel scale must be positive, got {scale}")
         return self._take("gumbel", scale, len(labels))
 
     def indexed_gumbel(self, role, indices: range, scale: float) -> np.ndarray:
-        if scale <= 0:
-            raise ParameterError(f"gumbel scale must be positive, got {scale}")
         return self._take("gumbel", scale, len(indices))
 
     def single_laplace(self, stream_id, scale: float) -> float:
-        if scale <= 0:
-            raise ParameterError(f"laplace scale must be positive, got {scale}")
         return float(self._take("laplace", scale, 1)[0])
 
     def single_gumbel(self, stream_id, scale: float) -> float:
-        if scale <= 0:
-            raise ParameterError(f"gumbel scale must be positive, got {scale}")
         return float(self._take("gumbel", scale, 1)[0])
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import socket
+import socketserver
 import threading
 from dataclasses import dataclass
 from datetime import date
@@ -55,13 +56,21 @@ __all__ = [
     "Rejection",
     "QueryService",
     "ServiceServer",
+    "ledger_from_config",
     "service_from_config",
 ]
+
+# A longer request line is refused and its connection closed.
+MAX_REQUEST_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
 class QuerySpec:
-    """An analyst's top-k request against one table snapshot."""
+    """An analyst's top-k request against one table snapshot.
+
+    Construction refuses a malformed field, so nothing malformed reaches
+    admission; the filter is checked against the table by ``execute``.
+    """
 
     analyst_id: str
     table: str
@@ -69,6 +78,18 @@ class QuerySpec:
     k: int
     filter: Mapping[str, object] | None = None
     as_of_date: date | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("analyst_id", "table", "group_by"):
+            if not isinstance(getattr(self, name), str):
+                raise QueryError(f"{name} must be a string")
+        encode_analyst_id(self.analyst_id)
+        if type(self.k) is not int:  # bool is an int subclass; 5.0 is a float
+            raise QueryError(f"k must be an integer, not {type(self.k).__name__}")
+        if self.k < 1:
+            raise QueryError(f"k must be >= 1, got {self.k}")
+        if self.as_of_date is not None and not isinstance(self.as_of_date, date):
+            raise QueryError(f"as_of_date must be a date, not {type(self.as_of_date).__name__}")
 
 
 @dataclass(frozen=True)
@@ -209,17 +230,10 @@ class QueryService:
     ) -> DPResult:
         noise = self._noise_for(query, qclass, as_of)
         aggregation = "distinct" if qclass.tau == 1 else "raw"
-        fetch_n = translate_query(
-            query.k,
-            qclass.domain,
-            d=qclass.domain_size,
-            k_multiplier=self._fetch.k_multiplier,
-            min_fetch=self._fetch.min_fetch,
-        )
         if qclass.domain == "known":
             observed = table.group_counts(query.group_by, query.filter, aggregation)
-            domain_values = table.domain_values(query.group_by) or ()
-            full = [(value, observed.get(value, 0)) for value in domain_values]
+            domain = table.schema.meta(query.group_by).domain
+            full = [(value, observed.get(value, 0)) for value in domain]
             if qclass.sensitivity == "restricted":
                 pairs = lap_known(
                     full, qclass.delta_sensitivity, qclass.tau, self._params, noise
@@ -227,6 +241,12 @@ class QueryService:
             else:
                 pairs = exp_known(full, query.k, qclass.tau, self._params, noise)
             return DPResult(entries=tuple(pairs))
+        fetch_n = translate_query(
+            query.k,
+            "unknown",
+            k_multiplier=self._fetch.k_multiplier,
+            min_fetch=self._fetch.min_fetch,
+        )
         slice_ = table.top_counts(
             query.group_by, query.filter, limit=fetch_n + 1, aggregation=aggregation
         )
@@ -238,8 +258,6 @@ class QueryService:
         return gumbel_unknown(ranked, query.k, fetch_n, qclass.tau, self._params, noise)
 
     def execute(self, query: QuerySpec) -> QueryResponse | Rejection:
-        if query.k < 1:
-            raise QueryError(f"k must be >= 1, got {query.k}")
         table = self.table(query.table)
         as_of = query.as_of_date or table.as_of
         if as_of != table.as_of:
@@ -286,44 +304,42 @@ class QueryService:
         self._ledger.close()
 
 
-def service_from_config(config: ServiceConfig, tables: Mapping[str, Table] | None = None) -> QueryService:
-    """Build a service, loading table snapshots from the config when not given."""
-    if tables is None:
-        tables = {name: load_snapshot(path) for name, path in config.tables.items()}
-    ledger = BudgetLedger(
+def ledger_from_config(config: ServiceConfig) -> BudgetLedger:
+    """The deployment's budget ledger: its defaults, period, overrides and state."""
+    return BudgetLedger(
         default_info=config.budget.default_info,
         default_calls=config.budget.default_calls,
         period=config.budget.period,
         overrides=config.budget.overrides,
         state_dir=config.state_dir,
     )
+
+
+def service_from_config(config: ServiceConfig, tables: Mapping[str, Table] | None = None) -> QueryService:
+    """Build a service, loading table snapshots from the config when not given."""
+    if tables is None:
+        tables = {name: load_snapshot(path) for name, path in config.tables.items()}
     return QueryService(
         tables=tables,
         secret=config.secret,
         params=config.params,
-        ledger=ledger,
+        ledger=ledger_from_config(config),
         fetch=config.fetch,
     )
 
 
 def _parse_query(payload: Mapping[str, object]) -> QuerySpec:
-    """A query request, refused unless its names are strings, the analyst id
-    fits the budget journal and ``k`` is a JSON integer."""
-    for name in ("analyst_id", "table", "group_by"):
-        if not isinstance(payload[name], str):
-            raise QueryError(f"{name} must be a string")
-    encode_analyst_id(payload["analyst_id"])
-    k = payload["k"]
-    if type(k) is not int:  # JSON true is a bool, 5.0 a float
-        raise QueryError(f"k must be a JSON integer, not {type(k).__name__}")
+    """A query request; :class:`QuerySpec` checks its fields."""
     as_of = payload.get("as_of_date")
+    if as_of is not None and not isinstance(as_of, str):
+        raise QueryError("as_of_date must be an ISO date string")
     return QuerySpec(
         analyst_id=payload["analyst_id"],
         table=payload["table"],
         group_by=payload["group_by"],
-        k=k,
+        k=payload["k"],
         filter=payload.get("filter"),
-        as_of_date=date.fromisoformat(str(as_of)) if as_of else None,
+        as_of_date=date.fromisoformat(as_of) if as_of else None,
     )
 
 
@@ -331,56 +347,49 @@ def _encode(payload: Mapping[str, object]) -> bytes:
     return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
 
 
-class ServiceServer:
+class _RequestHandler(socketserver.StreamRequestHandler):
+    server: "ServiceServer"
+
+    def handle(self) -> None:
+        while line := self.rfile.readline(MAX_REQUEST_BYTES + 1):
+            if len(line) > MAX_REQUEST_BYTES and not line.endswith(b"\n"):
+                error = f"request line longer than {MAX_REQUEST_BYTES} bytes"
+                self.wfile.write(_encode({"status": "error", "error": error}))
+                return
+            line = line.strip()
+            if line:
+                self.wfile.write(_encode(self.server._dispatch(line)))
+
+
+class ServiceServer(socketserver.ThreadingTCPServer):
     """Local socket front end: one JSON request per line, one reply per line."""
 
+    allow_reuse_address = True
+    request_queue_size = 128  # the backlog socket.create_server would give
+
     def __init__(self, service: QueryService, host: str = "127.0.0.1", port: int = 0):
+        super().__init__((host, port), _RequestHandler)
         self._service = service
-        self._listener = socket.create_server((host, port))
-        self._listener.settimeout(0.2)  # lets the accept loop notice shutdown
-        self._host, self._port = self._listener.getsockname()[:2]
-        self._threads: list[threading.Thread] = []
         self._connections: set[socket.socket] = set()
         self._connections_lock = threading.Lock()
-        self._accept_thread: threading.Thread | None = None
-        self._closing = threading.Event()
 
     @property
     def address(self) -> tuple[str, int]:
-        return self._host, self._port
+        return self.server_address[:2]
 
     def start(self) -> "ServiceServer":
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
+        threading.Thread(target=self.serve_forever, daemon=True).start()
         return self
 
-    def _accept_loop(self) -> None:
-        while not self._closing.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except TimeoutError:
-                continue
-            except OSError:
-                return
-            with self._connections_lock:
-                self._connections.add(conn)
-            worker = threading.Thread(target=self._handle, args=(conn,), daemon=True)
-            worker.start()
-            self._threads = [t for t in self._threads if t.is_alive()]
-            self._threads.append(worker)
+    def process_request(self, request: socket.socket, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
 
-    def _handle(self, conn: socket.socket) -> None:
-        try:
-            with conn, conn.makefile("rwb") as stream:
-                for line in stream:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    stream.write(_encode(self._dispatch(line)))
-                    stream.flush()
-        finally:
-            with self._connections_lock:
-                self._connections.discard(conn)
+    def shutdown_request(self, request: socket.socket) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
 
     def _dispatch(self, line: bytes) -> dict:
         try:
@@ -409,23 +418,19 @@ class ServiceServer:
             return {"status": "error", "error": str(exc)}
 
     def stop(self) -> None:
-        """Stop accepting, wait for in-flight requests, flush the ledger.
+        """Stop accepting, answer in-flight requests, flush the ledger.
 
         Open connections are shut for reading: an idle worker sees end of
-        input and exits at once, a busy one still sends its reply.  A worker
-        that outlives the wait finds the ledger closed, and its query fails
-        instead of being answered with a charge that is never journaled.
+        input and exits at once, a busy one finishes its request and sends
+        the reply.  Every worker is joined before the ledger closes, so a
+        query in flight at ``stop()`` is answered and its charge journaled.
         """
-        self._closing.set()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5)
-        self._listener.close()
+        self.shutdown()
         with self._connections_lock:
             for conn in self._connections:
                 try:
                     conn.shutdown(socket.SHUT_RD)
                 except OSError:
                     pass  # the peer already closed it
-        for worker in self._threads:
-            worker.join(timeout=5)
+        self.server_close()
         self._service.close()

@@ -310,11 +310,6 @@ class Table:
             return None
         return len(meta.domain)
 
-    def domain_values(self, column: str) -> tuple[str, ...] | None:
-        self.require_column(column)
-        meta = self.schema.meta(column)
-        return None if meta is None or meta.domain is None else meta.domain
-
     def _prepare(
         self, group_by: str, filter_spec: Mapping[str, object] | None, aggregation: str
     ) -> tuple[_Column, np.ndarray | None]:

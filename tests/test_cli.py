@@ -4,9 +4,14 @@ import json
 import subprocess
 import sys
 
+from datetime import datetime, timedelta, timezone
+
 import pytest
 
+from dpquery.budget import BudgetLedger, Cost
 from dpquery.cli import main
+from dpquery.config import load_config
+from dpquery.service import ledger_from_config
 
 from conftest import SECRET, cli_env
 
@@ -190,7 +195,6 @@ class TestCalibrateCli:
 
 class TestBudgetCli:
     def test_show_and_reset(self, workspace, capsys):
-        state = workspace / "state"
         config = json.loads((workspace / "config.json").read_text())
         config["state_dir"] = "state"
         (workspace / "config.json").write_text(json.dumps(config))
@@ -203,11 +207,51 @@ class TestBudgetCli:
             "--group-by", "item",
             "--k", "5",
         )
-        shown = run_main(capsys, "budget", "show", "--state-dir", str(state), "--analyst", "alice")
+        shown = run_main(capsys, "budget", "show", "--config", str(workspace / "config.json"), "--analyst", "alice")
         assert shown["used"]["calls"] == 1
-        run_main(capsys, "budget", "reset", "--state-dir", str(state), "--analyst", "alice")
-        shown = run_main(capsys, "budget", "show", "--state-dir", str(state), "--analyst", "alice")
+        run_main(capsys, "budget", "reset", "--config", str(workspace / "config.json"), "--analyst", "alice")
+        shown = run_main(capsys, "budget", "show", "--config", str(workspace / "config.json"), "--analyst", "alice")
         assert shown["used"] == {"info": 0, "calls": 0}
+
+    def test_config_without_state_dir_refused(self, workspace):
+        with pytest.raises(SystemExit, match="state_dir"):
+            main(["budget", "show", "--config", str(workspace / "config.json")])
+
+    @staticmethod
+    def budget_config(workspace, **budget) -> str:
+        config = json.loads((workspace / "config.json").read_text())
+        config["state_dir"] = "state"
+        config["budget"].update(budget)
+        (workspace / "config.json").write_text(json.dumps(config))
+        return str(workspace / "config.json")
+
+    def test_show_keeps_the_configured_override(self, workspace, capsys):
+        config = self.budget_config(workspace, overrides={"zed": [100, 5]})
+        killed = BudgetLedger(overrides={"zed": (100, 5)}, state_dir=workspace / "state")
+        killed.update_budget("zed", Cost(60, 1))  # no close(): only the journal is on disk
+        shown = run_main(capsys, "budget", "show", "--config", config)
+        assert (shown["max"], shown["used"]) == ({"info": 100, "calls": 5}, {"info": 60, "calls": 1})
+        serving = ledger_from_config(load_config(config))
+        try:
+            assert serving.get_budget("zed").max_info == 100
+            assert serving.try_reserve("zed", Cost(60, 1)) is None
+        finally:
+            serving.close()
+
+    def test_show_keeps_spend_within_a_days_period(self, workspace, capsys):
+        config = self.budget_config(workspace, period="days:60")
+        # The period began 40 days ago: a calendar month has ended since.
+        began = datetime.now(timezone.utc) - timedelta(days=40)
+        ledger = BudgetLedger(period="days:60", state_dir=workspace / "state", clock=lambda: began)
+        ledger.update_budget("ann", Cost(2900, 1))
+        ledger.close()
+        shown = run_main(capsys, "budget", "show", "--config", config, "--analyst", "ann")
+        assert shown["used"] == {"info": 2900, "calls": 1}
+        serving = ledger_from_config(load_config(config))
+        try:
+            assert serving.get_budget("ann").used_info == 2900
+        finally:
+            serving.close()
 
 
 def test_console_entry_point_runs():

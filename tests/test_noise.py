@@ -241,6 +241,20 @@ class TestProviders:
         with pytest.raises(ParameterError):
             SimNoise(0).labeled_laplace("r", ["a"], 0.0)
 
+    def test_sim_noise_checks_scale_in_every_method(self):
+        sim = SimNoise(0)
+        for kind, call in (
+            ("laplace", lambda b: sim.labeled_laplace("r", ["a"], b)),
+            ("gumbel", lambda b: sim.labeled_gumbel("r", ["a"], b)),
+            ("gumbel", lambda b: sim.indexed_gumbel("r", range(3), b)),
+            ("laplace", lambda b: sim.single_laplace("a", b)),
+            ("gumbel", lambda b: sim.single_gumbel("a", b)),
+        ):
+            call(1.0)
+            for bad in (0.0, -1.0):
+                with pytest.raises(ParameterError, match=f"^{kind} scale must be positive"):
+                    call(bad)
+
     def test_sim_noise_buffer_statistics(self):
         sim = SimNoise(123, block=64)
         draws = np.concatenate([sim.labeled_laplace("r", ["x"] * 7, 1.0) for _ in range(3000)])

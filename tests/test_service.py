@@ -6,11 +6,11 @@ from datetime import date
 
 import pytest
 
-from dpquery.budget import BudgetLedger, Cost, actual_cost
+from dpquery.budget import BudgetError, BudgetLedger, Cost, actual_cost
 from dpquery.config import FetchRule
 from dpquery.mechanisms import PrivacyParams, gumbel_unknown, rank_histogram, translate_query
 from dpquery.noise import KeyedNoise, NoiseKey, canonical_query, derive_seed
-from dpquery.service import QueryService, QuerySpec, Rejection, ServiceServer
+from dpquery.service import MAX_REQUEST_BYTES, QueryService, QuerySpec, Rejection, ServiceServer
 from dpquery.store import QueryError, ingest
 
 from conftest import AS_OF, SECRET, make_records, make_schema
@@ -225,6 +225,18 @@ class TestExecute:
         service = build_service()
         with pytest.raises(QueryError):
             service.execute(query(k=0))
+
+    @pytest.mark.parametrize("field, value", [
+        ("k", 5.9), ("k", True), ("analyst_id", 7), ("analyst_id", "a" * 70_000),
+        ("table", ["events"]), ("group_by", None), ("as_of_date", "2020-06-30"),
+    ], ids=["k-float", "k-true", "id-int", "id-oversize", "table-list", "group_by-null", "date-string"])
+    def test_malformed_spec_refused_before_admission(self, tmp_path, field, value):
+        service = build_service(ledger=BudgetLedger(state_dir=tmp_path))
+        fields = {"analyst_id": "alice", "table": "events", "group_by": "item", "k": 5}
+        with pytest.raises((QueryError, BudgetError)):
+            service.execute(QuerySpec(**{**fields, field: value}))
+        assert service.ledger.analysts() == []
+        assert (tmp_path / "budget.journal").read_bytes() == b""
 
     def test_unknown_table(self):
         service = build_service()
@@ -462,6 +474,70 @@ class TestServer:
         finally:
             client.close()
             server.stop()
+
+    def test_integer_as_of_date_refused(self, tmp_path):
+        server = ServiceServer(build_service(ledger=BudgetLedger(state_dir=tmp_path))).start()
+        client = Client(server.address)
+        request = {"op": "query", "analyst_id": "fay", "table": "events", "group_by": "region", "k": 1}
+        try:
+            assert client.send({**request, "as_of_date": 20200630})["status"] == "error"
+            assert (tmp_path / "budget.journal").read_bytes() == b""
+            assert server._service.ledger.analysts() == []
+            assert client.send({**request, "as_of_date": AS_OF.isoformat()})["status"] == "ok"
+        finally:
+            client.close()
+            server.stop()
+
+    def test_request_line_is_capped(self, tmp_path):
+        server = ServiceServer(build_service(ledger=BudgetLedger(state_dir=tmp_path))).start()
+        try:
+            with socket.create_connection(server.address, timeout=10) as sock, sock.makefile("rwb") as fh:
+                ping = b'{"op": "ping"}'
+                fh.write(b" " * (MAX_REQUEST_BYTES - len(ping)) + ping + b"\n")  # exactly the cap
+                fh.flush()
+                assert json.loads(fh.readline()) == {"pong": True, "status": "ok"}
+                fh.write(b"x" * (MAX_REQUEST_BYTES + 1))  # no newline
+                fh.flush()
+                assert json.loads(fh.readline())["status"] == "error"
+                assert fh.read() == b""  # then the server closes the connection
+            assert (tmp_path / "budget.journal").read_bytes() == b""
+            assert server._service.ledger.analysts() == []
+        finally:
+            server.stop()
+
+    def test_stop_answers_a_query_in_flight(self, tmp_path):
+        import threading
+        import time
+
+        service = build_service(ledger=BudgetLedger(state_dir=tmp_path))
+        server = ServiceServer(service).start()
+        entered, closing = threading.Event(), threading.Event()
+        run_mechanism, server_close = service._run_mechanism, server.server_close
+
+        def slow_mechanism(*args):
+            entered.set()
+            assert closing.wait(10)  # held until stop() is joining the workers
+            time.sleep(0.2)  # still busy: stop() must wait for it, not close the ledger
+            return run_mechanism(*args)
+
+        def signalling_close():
+            closing.set()
+            server_close()
+
+        service._run_mechanism = slow_mechanism
+        server.server_close = signalling_close
+        with socket.create_connection(server.address, timeout=10) as sock, sock.makefile("rwb") as fh:
+            # Reserves 21 and settles at the released cost, so the settle is journaled.
+            fh.write(json.dumps({"op": "query", "analyst_id": "gil", "table": "events",
+                                 "group_by": "item", "k": 10}).encode() + b"\n")
+            fh.flush()
+            assert entered.wait(10)
+            server.stop()
+            reply = json.loads(fh.readline())
+        assert reply["status"] == "ok"
+        assert reply["cost_charged"]["info"] < 21
+        snap = json.loads((tmp_path / "budget.snapshot.json").read_text())
+        assert snap["records"]["gil"]["used_info"] == reply["cost_charged"]["info"]
 
     def test_unknown_op(self):
         server = ServiceServer(build_service()).start()
