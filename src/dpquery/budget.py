@@ -17,7 +17,10 @@ restricted sensitivity bound Delta and a release o:
 The ledger is linearizable: check-and-deduct for one admission is a single
 atomic step under one lock, and concurrent deducts never lose updates or
 push usage past the maximum.  State is durable through an append-only
-binary journal plus a JSON snapshot (see docs/formats.md).
+binary journal plus a JSON snapshot (see docs/formats.md).  A live change
+and the replay of its journal record take the same two steps, at the same
+millisecond, on the analyst's one mutable account: register or refresh,
+then add the change clamped to [0, max].
 """
 
 from __future__ import annotations
@@ -26,10 +29,10 @@ import json
 import os
 import struct
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .mechanisms import DPResult
 
@@ -54,6 +57,7 @@ _MAX_ID_BYTES = 0xFFFF  # the id's u16 length prefix
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MILLISECOND = timedelta(milliseconds=1)
 _SNAPSHOT_VERSION = 1
+_MAX_PERIOD_DAYS = 36_500
 
 
 class BudgetError(RuntimeError):
@@ -118,17 +122,16 @@ def actual_cost(result: DPResult, qclass: QueryClass, k: int) -> Cost:
     return Cost(2 * len(result.entries) + 1 - int(result.terminated_by_bot), 1)
 
 
-@dataclass(frozen=True)
-class BudgetRecord:
-    """One analyst's budget state at a point in time."""
+class BudgetRecord(NamedTuple):
+    """One analyst's budget state at a point in time (an immutable view)."""
 
     analyst_id: str
     max_info: int
     max_calls: int
-    used_info: int = 0
-    used_calls: int = 0
-    period: str = "monthly"
-    last_reset: datetime | None = None
+    used_info: int
+    used_calls: int
+    period: str
+    last_reset: datetime
 
     @property
     def remaining_info(self) -> int:
@@ -141,30 +144,73 @@ class BudgetRecord:
     def remaining(self) -> Cost:
         return Cost(self.remaining_info, self.remaining_calls)
 
+    def to_dict(self) -> dict:
+        """The budget reply of the socket protocol and ``dpquery budget show``."""
+        return {
+            "analyst_id": self.analyst_id,
+            "max": {"info": self.max_info, "calls": self.max_calls},
+            "used": {"info": self.used_info, "calls": self.used_calls},
+        }
 
-def _month_start(now: datetime) -> datetime:
-    return datetime(now.year, now.month, 1, tzinfo=timezone.utc)
+
+def _period_length(period: object) -> timedelta | None:
+    """None for ``monthly``, the length of ``days:N``; ValueError otherwise.
+    N is bounded so that every next period start is a valid date."""
+    if period == "monthly":
+        return None
+    days = period[5:] if isinstance(period, str) and period.startswith("days:") else ""
+    if not (days.isascii() and days.isdigit() and 1 <= int(days) <= _MAX_PERIOD_DAYS):
+        raise ValueError(
+            f"refresh period must be 'monthly' or 'days:N' with N from 1 to "
+            f"{_MAX_PERIOD_DAYS}, not {period!r}"
+        )
+    return timedelta(days=int(days))
 
 
-def _period_start(period: str, last_reset: datetime, now: datetime) -> datetime:
+def _period_start(length: timedelta | None, last_reset: datetime, now: datetime) -> datetime:
     """Start of the period containing ``now`` (refresh boundary)."""
-    if period == "monthly":
-        return _month_start(now)
-    if period.startswith("days:"):
-        length = timedelta(days=int(period.split(":", 1)[1]))
-        if now - last_reset < length:
-            return last_reset
-        elapsed = (now - last_reset) // length
-        return last_reset + elapsed * length
-    raise ValueError(f"unknown refresh period {period!r}")
+    if length is None:
+        return datetime(now.year, now.month, 1, tzinfo=timezone.utc)
+    if now - last_reset < length:
+        return last_reset
+    elapsed = (now - last_reset) // length
+    return last_reset + elapsed * length
 
 
-def _next_period_start(period: str, last_reset: datetime) -> datetime:
-    """The earliest ``now`` for which ``_period_start`` lies after ``last_reset``."""
-    if period == "monthly":
+def _boundary_ms(length: timedelta | None, last_reset: datetime) -> int:
+    """The earliest ``now`` for which ``_period_start`` lies after
+    ``last_reset``, in epoch milliseconds, floored."""
+    if length is None:
         year, month = divmod(last_reset.year * 12 + last_reset.month, 12)
-        return datetime(year, month + 1, 1, tzinfo=timezone.utc)
-    return last_reset + timedelta(days=int(period.split(":", 1)[1]))
+        return (datetime(year, month + 1, 1, tzinfo=timezone.utc) - _EPOCH) // _MILLISECOND
+    return (last_reset + length - _EPOCH) // _MILLISECOND
+
+
+@dataclass(slots=True)
+class _Account:
+    """One analyst's mutable budget state, guarded by the ledger's lock.
+
+    No time before ``boundary_ms`` can refresh the account, so none needs
+    the date arithmetic.
+    """
+
+    max_info: int
+    max_calls: int
+    used_info: int
+    used_calls: int
+    last_reset: datetime
+    boundary_ms: int
+
+    def add(self, info: int, calls: int) -> None:
+        """Add a usage change, each total clamped to [0, max]."""
+        used = self.used_info + info
+        if used > self.max_info:
+            used = self.max_info
+        self.used_info = used if used > 0 else 0
+        used = self.used_calls + calls
+        if used > self.max_calls:
+            used = self.max_calls
+        self.used_calls = used if used > 0 else 0
 
 
 def encode_analyst_id(analyst_id: object) -> bytes:
@@ -194,7 +240,7 @@ class BudgetLedger:
     touched inside a new period, matching a store that resets on the first
     query of the period.
 
-    One lock covers the records, the journal and the snapshot.  A change is
+    One lock covers the accounts, the journal and the snapshot.  A change is
     journaled before it is applied in memory, so a snapshot holds either
     both or neither, and a change that cannot be journaled is not applied.
     """
@@ -208,31 +254,23 @@ class BudgetLedger:
         state_dir: str | Path | None = None,
         clock: Callable[[], datetime] | None = None,
     ):
-        self._default_info = default_info
-        self._default_calls = default_calls
+        self._defaults = (default_info, default_calls)
         self._period = period
+        self._length = _period_length(period)
         self._overrides = dict(overrides or {})
         self._clock = clock or (lambda: datetime.now(timezone.utc))
-        self._records: dict[str, BudgetRecord] = {}
+        self._accounts: dict[str, _Account] = {}
         self._lock = threading.RLock()
         self._journal_fh = None
         self._state_dir = Path(state_dir) if state_dir is not None else None
         if self._state_dir is not None:
+            self._journal_path = self._state_dir / "budget.journal"
+            self._snapshot_path = self._state_dir / "budget.snapshot.json"
             self._state_dir.mkdir(parents=True, exist_ok=True)
             self._recover()
             self._journal_fh = open(self._journal_path, "ab")
 
     # -- persistence -------------------------------------------------------
-
-    @property
-    def _journal_path(self) -> Path:
-        assert self._state_dir is not None
-        return self._state_dir / "budget.journal"
-
-    @property
-    def _snapshot_path(self) -> Path:
-        assert self._state_dir is not None
-        return self._state_dir / "budget.snapshot.json"
 
     def _recover(self) -> None:
         if self._snapshot_path.exists():
@@ -240,16 +278,10 @@ class BudgetLedger:
             if snap.get("version") != _SNAPSHOT_VERSION:
                 raise BudgetError(f"unsupported snapshot version {snap.get('version')}")
             for analyst_id, raw in snap["records"].items():
-                self._records[analyst_id] = BudgetRecord(
-                    analyst_id=analyst_id,
-                    max_info=raw["max_info"],
-                    max_calls=raw["max_calls"],
-                    used_info=raw["used_info"],
-                    used_calls=raw["used_calls"],
-                    period=self._period,
-                    last_reset=datetime.fromtimestamp(
-                        raw["last_reset_ms"] / 1000, tz=timezone.utc
-                    ),
+                last_reset = datetime.fromtimestamp(raw["last_reset_ms"] / 1000, tz=timezone.utc)
+                self._accounts[analyst_id] = _Account(
+                    raw["max_info"], raw["max_calls"], raw["used_info"], raw["used_calls"],
+                    last_reset, _boundary_ms(self._length, last_reset),
                 )
         if self._journal_path.exists():
             data = self._journal_path.read_bytes()
@@ -263,64 +295,35 @@ class BudgetLedger:
         """Apply the whole journal records in ``data`` in file order; return
         the offset just past the last whole record.
 
-        Per record, this is what a change does live: register the analyst,
-        refresh at the record's timestamp, add the delta clamped to
-        [0, max].  Usage is kept as plain ints per raw id; dates are built
-        only when an analyst is first seen or a record reaches the analyst's
-        next period start, and one record per analyst is written at the end.
+        Per record, this is what the live change did: :meth:`_account` at
+        the record's timestamp, then ``add``.  Accounts are cached by raw id,
+        so an id is decoded and looked up again only when a record reaches
+        the account's next period start.
         """
-        # raw id -> [used_info, used_calls, boundary_ms, max_info, max_calls, analyst_id]
-        seen: dict[bytes, list] = {}
+        accounts: dict[bytes, _Account] = {}
+        get, add = accounts.get, _Account.add
         unpack, size = _JOURNAL_RECORD.unpack_from, _JOURNAL_RECORD.size
-        pos, end = 0, len(data)
-        while pos + 2 <= end:
+        pos, last = 0, len(data) - size  # the last offset a record's tail fits at
+        while pos + 2 <= last:
             id_end = pos + 2 + (data[pos] << 8 | data[pos + 1])
-            if id_end + size > end:
+            if id_end > last:
                 break  # torn tail from a crash mid-append
             raw = data[pos + 2 : id_end]
             info, calls, ts_ms = unpack(data, id_end)
             pos = id_end + size
-            state = seen.get(raw)
-            if state is None or ts_ms >= state[2]:
-                when = datetime.fromtimestamp(ts_ms / 1000, tz=timezone.utc)
-                if state is None:
-                    rec = self._registered(raw.decode("utf-8"), when)
-                    state = seen[raw] = [
-                        rec.used_info, rec.used_calls, 0, rec.max_info, rec.max_calls, rec.analyst_id
-                    ]
-                else:
-                    rec = self._records[state[5]]
-                fresh = self._refreshed(rec, when)
-                if fresh is not rec:
-                    state[0] = state[1] = 0
-                # Floored to the millisecond: a record before it cannot
-                # refresh, one at or after it takes this exact path again.
-                state[2] = (
-                    _next_period_start(self._period, fresh.last_reset) - _EPOCH
-                ) // _MILLISECOND
-            used = state[0] + info  # _clamp, inline
-            if used > state[3]:
-                used = state[3]
-            state[0] = used if used > 0 else 0
-            used = state[1] + calls
-            if used > state[4]:
-                used = state[4]
-            state[1] = used if used > 0 else 0
-        for used_info, used_calls, _, _, _, analyst_id in seen.values():
-            self._records[analyst_id] = replace(
-                self._records[analyst_id], used_info=used_info, used_calls=used_calls
-            )
+            account = get(raw)
+            if account is None or ts_ms >= account.boundary_ms:
+                account = accounts[raw] = self._account(raw.decode("utf-8"), ts_ms)
+            add(account, info, calls)
         return pos
 
-    def _append_journal(self, encoded_id: bytes, info: int, calls: int, now: datetime) -> None:
+    def _append_journal(self, encoded_id: bytes, info: int, calls: int, now_ms: int) -> None:
         if self._state_dir is None:
             return
         if self._journal_fh is None:
             raise BudgetError("ledger is closed; the change cannot be journaled")
         self._journal_fh.write(
-            len(encoded_id).to_bytes(2, "big")
-            + encoded_id
-            + _JOURNAL_RECORD.pack(info, calls, int(now.timestamp() * 1000))
+            len(encoded_id).to_bytes(2, "big") + encoded_id + _JOURNAL_RECORD.pack(info, calls, now_ms)
         )
         self._journal_fh.flush()
 
@@ -331,20 +334,18 @@ class BudgetLedger:
         with self._lock:
             records = {
                 a: {
-                    "max_info": r.max_info,
-                    "max_calls": r.max_calls,
-                    "used_info": r.used_info,
-                    "used_calls": r.used_calls,
-                    "last_reset_ms": int(
-                        (r.last_reset or self._clock()).timestamp() * 1000
-                    ),
+                    "max_info": acc.max_info,
+                    "max_calls": acc.max_calls,
+                    "used_info": acc.used_info,
+                    "used_calls": acc.used_calls,
+                    "last_reset_ms": int(acc.last_reset.timestamp() * 1000),
                 }
-                for a, r in self._records.items()
+                for a, acc in self._accounts.items()
             }
             blob = json.dumps(
                 {
                     "version": _SNAPSHOT_VERSION,
-                    "taken_at_ms": int(self._clock().timestamp() * 1000),
+                    "taken_at_ms": self._now_ms(),
                     "records": records,
                 },
                 sort_keys=True,
@@ -367,34 +368,38 @@ class BudgetLedger:
                 self._journal_fh.close()
                 self._journal_fh = None
 
-    # -- registration and refresh -------------------------------------------
+    # -- the account path ------------------------------------------------------
 
-    def _registered(self, analyst_id: str, now: datetime) -> BudgetRecord:
-        rec = self._records.get(analyst_id)
-        if rec is None:
-            max_info, max_calls = self._overrides.get(
-                analyst_id, (self._default_info, self._default_calls)
+    def _now_ms(self) -> int:
+        return int(self._clock().timestamp() * 1000)
+
+    def _account(self, analyst_id: str, now_ms: int) -> _Account:
+        """The analyst's account at ``now_ms``, registered on first contact
+        (overrides, else the defaults; reset at the start of the period
+        holding ``now_ms``) and refreshed when a new period has begun."""
+        account = self._accounts.get(analyst_id)
+        if account is not None and now_ms < account.boundary_ms:
+            return account
+        now = datetime.fromtimestamp(now_ms / 1000, tz=timezone.utc)
+        if account is None:
+            start = _period_start(self._length, now, now)
+            account = self._accounts[analyst_id] = _Account(
+                *self._overrides.get(analyst_id, self._defaults), 0, 0,
+                start, _boundary_ms(self._length, start),
             )
-            rec = BudgetRecord(
-                analyst_id=analyst_id,
-                max_info=max_info,
-                max_calls=max_calls,
-                period=self._period,
-                last_reset=_period_start(self._period, now, now),
-            )
-            self._records[analyst_id] = rec
-        return rec
+            return account
+        start = _period_start(self._length, account.last_reset, now)
+        if start > account.last_reset:
+            account.used_info = account.used_calls = 0
+            account.last_reset = start
+            account.boundary_ms = _boundary_ms(self._length, start)
+        return account
 
-    def _refreshed(self, rec: BudgetRecord, now: datetime) -> BudgetRecord:
-        assert rec.last_reset is not None
-        start = _period_start(self._period, rec.last_reset, now)
-        if start > rec.last_reset:
-            rec = replace(rec, used_info=0, used_calls=0, last_reset=start)
-            self._records[rec.analyst_id] = rec
-        return rec
-
-    def _current(self, analyst_id: str, now: datetime) -> BudgetRecord:
-        return self._refreshed(self._registered(analyst_id, now), now)
+    def _record(self, analyst_id: str, account: _Account) -> BudgetRecord:
+        return BudgetRecord(
+            analyst_id, account.max_info, account.max_calls, account.used_info,
+            account.used_calls, self._period, account.last_reset,
+        )
 
     def _apply(self, analyst_id: str, info: int, calls: int, must_fit: bool = False) -> BudgetRecord | None:
         """The one mutation: journal a usage change, then apply it.
@@ -405,20 +410,15 @@ class BudgetLedger:
         """
         encoded = encode_analyst_id(analyst_id)
         with self._lock:
-            now = self._clock()  # one reading: the refresh and the record agree
-            rec = self._current(analyst_id, now)
-            used_info, used_calls = rec.used_info + info, rec.used_calls + calls
-            if must_fit and (used_info > rec.max_info or used_calls > rec.max_calls):
+            now_ms = self._now_ms()  # one reading: the refresh and the record agree
+            account = self._account(analyst_id, now_ms)
+            used_info, used_calls = account.used_info + info, account.used_calls + calls
+            if must_fit and (used_info > account.max_info or used_calls > account.max_calls):
                 return None
             if info or calls:
-                self._append_journal(encoded, info, calls, now)
-            rec = replace(
-                rec,
-                used_info=_clamp(used_info, rec.max_info),
-                used_calls=_clamp(used_calls, rec.max_calls),
-            )
-            self._records[analyst_id] = rec
-            return rec
+                self._append_journal(encoded, info, calls, now_ms)
+            account.add(info, calls)
+            return self._record(analyst_id, account)
 
     # -- the three store methods ---------------------------------------------
 
@@ -441,7 +441,7 @@ class BudgetLedger:
         """Current record, after applying any due lazy refresh."""
         encode_analyst_id(analyst_id)
         with self._lock:
-            return self._current(analyst_id, self._clock())
+            return self._record(analyst_id, self._account(analyst_id, self._now_ms()))
 
     # -- admission protocol ---------------------------------------------------
 
@@ -465,8 +465,4 @@ class BudgetLedger:
 
     def analysts(self) -> list[str]:
         with self._lock:
-            return sorted(self._records)
-
-
-def _clamp(value: int, upper: int) -> int:
-    return max(0, min(value, upper))
+            return sorted(self._accounts)

@@ -146,14 +146,7 @@ def _cmd_budget(args: argparse.Namespace) -> int:
         if args.mode == "show":
             analysts = [args.analyst] if args.analyst else ledger.analysts()
             for analyst in analysts:
-                rec = ledger.get_budget(analyst)
-                _print_json(
-                    {
-                        "analyst_id": rec.analyst_id,
-                        "max": {"info": rec.max_info, "calls": rec.max_calls},
-                        "used": {"info": rec.used_info, "calls": rec.used_calls},
-                    }
-                )
+                _print_json(ledger.get_budget(analyst).to_dict())
         else:  # reset
             rec = ledger.reset_usage(args.analyst)
             _print_json({"analyst_id": rec.analyst_id, "used": {"info": 0, "calls": 0}})

@@ -20,6 +20,7 @@ socket speaking newline-delimited JSON.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 import socketserver
@@ -62,6 +63,9 @@ __all__ = [
 
 # A longer request line is refused and its connection closed.
 MAX_REQUEST_BYTES = 1 << 20
+# A read or a send that waits this long ends its connection, so a client that
+# never reads its replies cannot hold up ``ServiceServer.stop()``.
+CONNECTION_TIMEOUT_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -350,15 +354,20 @@ def _encode(payload: Mapping[str, object]) -> bytes:
 class _RequestHandler(socketserver.StreamRequestHandler):
     server: "ServiceServer"
 
+    @property
+    def timeout(self) -> float:  # the socket timeout ``setup()`` sets
+        return CONNECTION_TIMEOUT_S
+
     def handle(self) -> None:
-        while line := self.rfile.readline(MAX_REQUEST_BYTES + 1):
-            if len(line) > MAX_REQUEST_BYTES and not line.endswith(b"\n"):
-                error = f"request line longer than {MAX_REQUEST_BYTES} bytes"
-                self.wfile.write(_encode({"status": "error", "error": error}))
-                return
-            line = line.strip()
-            if line:
-                self.wfile.write(_encode(self.server._dispatch(line)))
+        with contextlib.suppress(TimeoutError):  # a client idle or not reading: close
+            while line := self.rfile.readline(MAX_REQUEST_BYTES + 1):
+                if len(line) > MAX_REQUEST_BYTES and not line.endswith(b"\n"):
+                    error = f"request line longer than {MAX_REQUEST_BYTES} bytes"
+                    self.wfile.write(_encode({"status": "error", "error": error}))
+                    return
+                line = line.strip()
+                if line:
+                    self.wfile.write(_encode(self.server._dispatch(line)))
 
 
 class ServiceServer(socketserver.ThreadingTCPServer):
@@ -404,12 +413,7 @@ class ServiceServer(socketserver.ThreadingTCPServer):
                 return {"status": "ok", "pong": True}
             if op == "get_budget":
                 rec = self._service.ledger.get_budget(payload["analyst_id"])
-                return {
-                    "status": "ok",
-                    "analyst_id": rec.analyst_id,
-                    "max": {"info": rec.max_info, "calls": rec.max_calls},
-                    "used": {"info": rec.used_info, "calls": rec.used_calls},
-                }
+                return {"status": "ok", **rec.to_dict()}
             if op == "query":
                 outcome = self._service.execute(_parse_query(payload))
                 return outcome.to_dict()

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import json
 import random
+import signal
 import struct
+import subprocess
+import sys
 import tempfile
 import threading
 from datetime import datetime, timezone
@@ -21,6 +24,7 @@ from dpquery.budget import (
     expected_cost,
 )
 from dpquery.mechanisms import DPResult
+from conftest import cli_env
 from oracles import BudgetReplay, replay_budget_journal
 
 UNKNOWN_UNRESTRICTED = QueryClass("unknown", "unrestricted")
@@ -216,6 +220,19 @@ class TestRefresh:
         assert rec.used_info == 0
         assert rec.last_reset == datetime(2020, 1, 15, tzinfo=timezone.utc)
 
+    @pytest.mark.parametrize("period", [
+        "weekly", "Monthly", "days:0", "days:-1", "days:x", "days:", "days:1.5", "days: 7",
+        "days:7 ", "days:36501", "days:1000000000", None,
+    ])
+    def test_bad_period_refused_at_construction(self, period):
+        with pytest.raises(ValueError, match="refresh period"):
+            BudgetLedger(period=period)
+
+    @pytest.mark.parametrize("period", ["monthly", "days:1", "days:36500"])
+    def test_good_period_accepted(self, period):
+        clock = FakeClock(datetime(2020, 1, 1, tzinfo=timezone.utc))
+        assert BudgetLedger(period=period, clock=clock).update_budget("a", Cost(1, 0)).period == period
+
 
 class TestPersistence:
     def test_journal_replay_reproduces_state(self, tmp_path):
@@ -347,6 +364,53 @@ class TestPersistence:
         assert len(blob) == 2 + 3 + 4 + 4 + 8
 
 
+# Loops reserve-and-settle on a journaled ledger, printing each settled
+# charge once its settle has returned.
+HAMMER = """
+import json
+import sys
+from dpquery.budget import BudgetLedger, Cost
+
+ledger = BudgetLedger(**json.loads(sys.argv[1]))
+reserved = Cost(101, 1)
+i = 0
+while True:
+    analyst = f"a{i % 7}"
+    assert ledger.try_reserve(analyst, reserved) is not None
+    charge = 1 + i % 101
+    ledger.settle(analyst, reserved, Cost(charge, 1))
+    print(charge, flush=True)
+    i += 1
+"""
+
+
+class TestCrashRecovery:
+    def test_sigkill_mid_loop_keeps_every_acked_charge(self, tmp_path):
+        # No clamp, and a period no run can cross.
+        config = {"default_info": 10**9, "default_calls": 10**9, "period": "days:36500"}
+        child = subprocess.Popen(
+            [sys.executable, "-c", HAMMER, json.dumps({**config, "state_dir": str(tmp_path)})],
+            stdout=subprocess.PIPE, env=cli_env(),
+        )
+        try:
+            acks = [child.stdout.readline() for _ in range(2000)]
+        finally:
+            child.kill()
+        acks += child.stdout.read().splitlines(keepends=True)  # printed before the kill
+        child.stdout.close()
+        assert child.wait(timeout=10) == -signal.SIGKILL
+        acks = [int(line) for line in acks if line.endswith(b"\n")]
+        assert len(acks) >= 2000
+        recovered = BudgetLedger(**config, state_dir=tmp_path)
+        records = [recovered.get_budget(a) for a in recovered.analysts()]
+        used_info = sum(r.used_info for r in records)
+        used_calls = sum(r.used_calls for r in records)
+        # At most one admission was in flight: reserved whole, settled, or
+        # not journaled at all.
+        assert sum(acks) <= used_info <= sum(acks) + 101
+        assert len(acks) <= used_calls <= len(acks) + 1
+
+
 class TestReplayOracle:
     CELLS = [
         ("known", "restricted"),
@@ -435,9 +499,9 @@ def recovered_state(state_dir: Path, journal: bytes, snapshot, default, override
     )
     records = {
         a: (r.max_info, r.max_calls, r.used_info, r.used_calls, r.last_reset)
-        for a, r in ledger._records.items()
+        for a, r in ledger._accounts.items()
     }
-    assert all(r.period == period for r in ledger._records.values())
+    assert all(ledger.get_budget(a).period == period for a in records)
     return records, (state_dir / "budget.journal").stat().st_size
 
 

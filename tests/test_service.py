@@ -539,6 +539,42 @@ class TestServer:
         snap = json.loads((tmp_path / "budget.snapshot.json").read_text())
         assert snap["records"]["gil"]["used_info"] == reply["cost_charged"]["info"]
 
+    def test_client_that_never_reads_is_dropped(self, monkeypatch, capsys):
+        import threading
+        import time
+
+        from dpquery import service as service_module
+
+        monkeypatch.setattr(service_module, "CONNECTION_TIMEOUT_S", 2.0)
+        server = ServiceServer(build_service()).start()
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.connect(server.address)
+        sock.settimeout(1.0)
+        pings = b'{"op":"ping"}\n' * 10_000
+        try:
+            # Pipeline pings and read no reply until the server takes none
+            # for a second: its worker is then stuck sending replies nobody
+            # reads, until its send times out and ends the connection.
+            deadline = time.monotonic() + 30
+            while True:
+                assert time.monotonic() < deadline, "the server kept reading"
+                try:
+                    sock.sendall(pings)
+                except OSError:  # the send timed out, or the server closed
+                    break
+            deadline = time.monotonic() + service_module.CONNECTION_TIMEOUT_S + 8
+            while server._connections and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not server._connections
+            stopper = threading.Thread(target=server.stop)
+            stopper.start()
+            stopper.join(timeout=3)
+            assert not stopper.is_alive()
+        finally:
+            sock.close()
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_unknown_op(self):
         server = ServiceServer(build_service()).start()
         client = Client(server.address)
