@@ -267,6 +267,10 @@ class TestCanonicalization:
         b = canonical_filter({"skill": ["ai", "ml", "ai"], "country": "in"})
         assert a == b == "country=in;skill@ai,ml"
 
+    def test_one_value_list_is_membership(self):
+        assert canonical_filter({"region": ["amer"]}) == "region@amer"
+        assert canonical_filter({"region": "amer"}) == "region=amer"
+
     def test_empty_filter(self):
         assert canonical_filter(None) == canonical_filter({}) == ""
 

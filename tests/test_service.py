@@ -347,6 +347,43 @@ class TestWireFormatDrift:
             '"status":"ok","threshold_value":null,"truncated":false}'
         )
 
+    def test_golden_filtered_release_bytes(self):
+        # A filtered release pins the filter's place in the canonical query.
+        # The term kind follows the request's JSON type: a string is
+        # equality, a one-element list is membership, and the two key
+        # different seeds.
+        schema = make_schema(item={}, region={})
+        rows = [(f"m{m}", "a", {"region": "amer"}) for m in range(60)]
+        rows += [(f"m{m}", "b", {"region": "amer"}) for m in range(40)]
+        rows += [(f"m{m}", "c", {"region": "emea"}) for m in range(50)]
+        table = ingest(make_records(rows), schema, AS_OF)
+        blobs = []
+        for filter in ({"region": "amer"}, {"region": ["amer"]}):
+            service = QueryService(
+                tables={"events": table},
+                secret=SECRET,
+                params=PrivacyParams(eps_per=2.0, delta=1e-4),
+                ledger=BudgetLedger(),
+                fetch=FetchRule(k_multiplier=2, min_fetch=4),
+            )
+            response = service.execute(query(k=2, filter=filter))
+            blobs.append(json.dumps(response.to_dict(), sort_keys=True, separators=(",", ":")))
+        assert blobs[0] == (
+            '{"budget_remaining":{"calls":29,"info":2995},'
+            '"cost_charged":{"calls":1,"info":5},'
+            '"entries":[["a",61],["b",39]],"k":2,"mechanism":"unknown_topk",'
+            '"noisy_values":[60.95008253746417,39.4534670342934],'
+            '"status":"ok","threshold_value":null,"truncated":false}'
+        )
+        assert blobs[1] == (
+            '{"budget_remaining":{"calls":29,"info":2995},'
+            '"cost_charged":{"calls":1,"info":5},'
+            '"entries":[["a",60],["b",39]],"k":2,"mechanism":"unknown_topk",'
+            '"noisy_values":[59.595773590408164,39.49432941407784],'
+            '"status":"ok","threshold_value":null,"truncated":false}'
+        )
+        assert blobs[0] != blobs[1]
+
 
 class TestBudgetConformance:
     def test_trace_never_exceeds_period_budget(self):
