@@ -8,7 +8,7 @@ socket front end (``service``), and the parameter-rationale calculators
 (``calibration``).
 """
 
-from .budget import BudgetLedger, Cost, QueryClass, actual_cost, expected_cost
+from .budget import BudgetLedger, Cost, actual_cost, expected_cost
 from .composition import (
     PerQueryParams,
     SystemPrivacyBudget,
@@ -27,7 +27,7 @@ from .mechanisms import (
     solve_delta_hat,
     translate_query,
 )
-from .noise import KeyedNoise, NoiseKey, SimNoise, ZeroNoise, canonical_query, derive_seed
+from .noise import KeyedNoise, NoiseKey, SimNoise, canonical_query, derive_seed
 from .service import QueryService, QuerySpec, ServiceServer, service_from_config
 from .store import ColumnMeta, EventRecord, HistogramSlice, Schema, Table, ingest
 
@@ -45,7 +45,6 @@ __all__ = [
     "NoiseKey",
     "PerQueryParams",
     "PrivacyParams",
-    "QueryClass",
     "QueryService",
     "QuerySpec",
     "Schema",
@@ -53,7 +52,6 @@ __all__ = [
     "SimNoise",
     "SystemPrivacyBudget",
     "Table",
-    "ZeroNoise",
     "actual_cost",
     "br_compose",
     "canonical_query",

@@ -6,8 +6,9 @@ queries).  Admission charges the worst-case expected cost of a query;
 after the mechanism runs, the charge is settled down to the realized cost,
 so an analyst pays for what they actually received.
 
-Cost rules per (domain, sensitivity) cell, for a top-k query with
-restricted sensitivity bound Delta and a release o:
+Cost rules per (domain, sensitivity) cell of the group-by column's
+:class:`~dpquery.store.ColumnMeta`, for a top-k query with restricted
+sensitivity bound Delta and a release o:
 
     known/restricted      expected (Delta, 0)        actual (Delta, 0)
     unknown/restricted    expected (Delta, 1)        actual (1, 1)
@@ -35,10 +36,10 @@ from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
 
 from .mechanisms import DPResult
+from .store import ColumnMeta
 
 __all__ = [
     "Cost",
-    "QueryClass",
     "BudgetRecord",
     "BudgetError",
     "BudgetLedger",
@@ -76,49 +77,32 @@ class Cost:
             raise ValueError(f"costs must be non-negative, got {self}")
 
 
-@dataclass(frozen=True)
-class QueryClass:
-    """Classification of a query per the column it groups by."""
+def expected_cost(cell: ColumnMeta, k: int) -> Cost:
+    """Worst-case cost charged at admission time.
 
-    domain: str  # "known" | "unknown"
-    sensitivity: str  # "restricted" | "unrestricted"
-    delta_sensitivity: int = 1
-    tau: int = 1
-    domain_size: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.domain not in ("known", "unknown"):
-            raise ValueError(f"bad domain class {self.domain!r}")
-        if self.sensitivity not in ("restricted", "unrestricted"):
-            raise ValueError(f"bad sensitivity class {self.sensitivity!r}")
-        if self.sensitivity == "restricted" and self.delta_sensitivity < 1:
-            raise ValueError("restricted sensitivity requires delta_sensitivity >= 1")
-
-
-def expected_cost(qclass: QueryClass, k: int) -> Cost:
-    """Worst-case cost charged at admission time."""
+    ``cell`` is the group-by column's metadata: an unknown domain
+    (``domain is None``) also costs one call, and a restricted column
+    (``delta_sensitivity`` set) costs Delta whatever k is.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if qclass.sensitivity == "restricted":
-        info = max(qclass.delta_sensitivity, 1)
-        return Cost(info, 0) if qclass.domain == "known" else Cost(info, 1)
-    if qclass.domain == "known":
-        return Cost(2 * k, 0)
-    return Cost(2 * k + 1, 1)
+    calls = int(cell.domain is None)
+    if cell.delta_sensitivity is not None:
+        return Cost(cell.delta_sensitivity, calls)
+    return Cost(2 * k + calls, calls)
 
 
-def actual_cost(result: DPResult, qclass: QueryClass, k: int) -> Cost:
+def actual_cost(result: DPResult, cell: ColumnMeta, k: int) -> Cost:
     """Realized cost settled after the mechanism ran.
 
-    Unknown-domain unrestricted releases pay for what they got:
+    Known domains pay their expected cost.  Unknown-domain restricted
+    releases pay (1, 1); unrestricted ones pay for what they got:
     2 * |entries| + 1, minus 1 when the output ended at the sentinel.
     """
-    if qclass.sensitivity == "restricted":
-        if qclass.domain == "known":
-            return Cost(max(qclass.delta_sensitivity, 1), 0)
+    if cell.domain is not None:
+        return expected_cost(cell, k)
+    if cell.delta_sensitivity is not None:
         return Cost(1, 1)
-    if qclass.domain == "known":
-        return Cost(2 * k, 0)
     return Cost(2 * len(result.entries) + 1 - int(result.terminated_by_bot), 1)
 
 

@@ -114,7 +114,7 @@ def overall_guarantee(
     """
     if k_star < 1 or ell_star < 1:
         raise ValueError("k_star and ell_star must be positive integers")
-    delta_star = 2 * ell_star * params.delta + params.delta_prime
+    delta_star = params.delta_star(ell_star)
     if delta_star >= 1:
         raise ValueError(
             f"delta_star = {delta_star} >= 1; budget configuration is vacuous"

@@ -366,25 +366,12 @@ def gumbel_unknown(
     return DPResult(entries=entries, terminated_by_bot=len(entries) < k, bot_value=None)
 
 
-def translate_query(
-    k: int,
-    domain: str,
-    d: int | None = None,
-    k_multiplier: int = 10,
-    min_fetch: int = 1000,
-) -> int:
-    """Fetch size for the backing store.
-
-    Known domains fetch the full zero-filled domain; unknown domains fetch
-    the top max(k_multiplier * k, min_fetch) ranks (the unknown-domain
-    mechanisms then see one extra rank for the threshold).
+def translate_query(k: int, k_multiplier: int = 10, min_fetch: int = 1000) -> int:
+    """Store fetch size for an unknown-domain query: the top
+    max(k_multiplier * k, min_fetch) ranks (the mechanisms then see one
+    extra rank for the threshold).  A known domain fetches its whole
+    zero-filled domain instead.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    if domain == "known":
-        if d is None or d < 1:
-            raise ParameterError("known-domain translation requires the domain size")
-        return d
-    if domain == "unknown":
-        return max(k_multiplier * k, min_fetch)
-    raise ParameterError(f"unknown domain class {domain!r}")
+    return max(k_multiplier * k, min_fetch)

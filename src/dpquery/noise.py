@@ -14,9 +14,7 @@ Sampling uses inverse-CDF transforms of counter-mode PRF uniforms:
 Uniforms are clamped away from {0, 1} so neither transform can return an
 infinity.  The transforms are computed with libm through ``math``: numpy's
 ``log`` and ``log1p`` can differ from it in the last bit, which would change
-released bytes.  :class:`KeyedNoise` takes the same two BLAKE2b calls per
-draw as the reference path (:func:`substream`, :class:`NoiseStream`), with
-the per-call work hoisted out of the loop.
+released bytes.
 """
 
 from __future__ import annotations
@@ -27,29 +25,22 @@ import math
 import urllib.parse
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .store import normalize_filter
-
 __all__ = [
     "NoiseKey",
-    "NoiseStream",
     "ConfigurationError",
     "ParameterError",
     "THRESHOLD_STREAM_ID",
     "canonical_filter",
     "canonical_query",
     "derive_seed",
-    "substream",
     "laplace_from_uniform",
     "gumbel_from_uniform",
-    "laplace",
-    "gumbel",
     "KeyedNoise",
     "SimNoise",
-    "ZeroNoise",
 ]
 
 
@@ -74,28 +65,24 @@ def _quote(text: str) -> str:
     return urllib.parse.quote(text, safe="")
 
 
-def canonical_filter(filter_spec: Mapping[str, object] | None) -> str:
-    """Serialize a filter predicate to its canonical byte form.
+def canonical_filter(terms: Iterable[tuple[str, str, Sequence[str]]]) -> str:
+    """Serialize filter terms to their canonical byte form.
 
-    A filter is a conjunction of ``column = value`` and ``column in set``
-    terms, given as a mapping from column name to a string (equality) or to
-    a list of strings (membership).  The terms are those of
-    :func:`dpquery.store.normalize_filter`, which rejects a malformed
-    filter: sorted by column name, membership values sorted and
+    ``terms`` are the (column, op, values) conjunctions of
+    :func:`dpquery.store.normalize_filter`: sorted by column name, op "="
+    for equality and "@" for membership, membership values sorted and
     deduplicated.  Every name and value is percent-encoded, so two filters
     that mean the same thing serialize identically.
     """
-    terms = []
-    for column, values in normalize_filter(filter_spec):
-        op = "=" if isinstance(filter_spec[column], str) else "@"
-        terms.append(_quote(column) + op + ",".join(_quote(v) for v in values))
-    return ";".join(terms)
+    return ";".join(
+        _quote(column) + op + ",".join(_quote(v) for v in values) for column, op, values in terms
+    )
 
 
 def canonical_query(
     table: str,
     group_by: str,
-    filter_spec: Mapping[str, object] | None,
+    terms: Iterable[tuple[str, str, Sequence[str]]],
     k: int,
     sensitivity: str,
     tau: int,
@@ -109,7 +96,7 @@ def canonical_query(
     """
     pairs = {
         "delta": str(int(delta_sensitivity)),
-        "filter": canonical_filter(filter_spec),
+        "filter": canonical_filter(terms),
         "group_by": _quote(group_by),
         "k": str(int(k)),
         "sensitivity": sensitivity,
@@ -148,31 +135,6 @@ def derive_seed(key: NoiseKey) -> bytes:
     return hmac.new(key.secret, message, hashlib.sha256).digest()
 
 
-@dataclass
-class NoiseStream:
-    """Counter-mode PRF stream; (seed, counter) reproducibly determine draws."""
-
-    seed: bytes
-    counter: int = 0
-
-    def uniform(self) -> float:
-        """Next uniform in [2^-53, 1 - 2^-53] with 53-bit resolution."""
-        block = hashlib.blake2b(
-            self.counter.to_bytes(8, "big"), key=self.seed, digest_size=8
-        ).digest()
-        self.counter += 1
-        u = (int.from_bytes(block, "big") >> 11) * _U_MIN
-        return min(max(u, _U_MIN), _U_MAX)
-
-
-def substream(seed: bytes, element_id: str) -> NoiseStream:
-    """Independent per-element stream; stable under element reordering."""
-    child = hashlib.blake2b(
-        element_id.encode("utf-8"), key=seed, digest_size=32
-    ).digest()
-    return NoiseStream(seed=child)
-
-
 def _check_scale(kind: str, scale: float) -> None:
     if scale <= 0:
         raise ParameterError(f"{kind} scale must be positive, got {scale}")
@@ -191,14 +153,6 @@ def gumbel_from_uniform(u: float, scale: float) -> float:
     """Inverse-CDF Gumbel transform of one uniform in (0, 1)."""
     _check_scale("gumbel", scale)
     return -scale * math.log(-math.log(u))
-
-
-def laplace(stream: NoiseStream, scale: float) -> float:
-    return laplace_from_uniform(stream.uniform(), scale)
-
-
-def gumbel(stream: NoiseStream, scale: float) -> float:
-    return gumbel_from_uniform(stream.uniform(), scale)
 
 
 class NoiseSource(Protocol):
@@ -233,11 +187,12 @@ _COUNTER_0 = (0).to_bytes(8, "big")
 class KeyedNoise:
     """Deterministic noise source backed by per-label substreams of a seed.
 
-    Draw ``x`` is the first uniform of ``substream(seed, x)``, computed
-    without building the stream: the seed-keyed BLAKE2b state is made once
-    and copied per label, and a vector call converts all its blocks to
-    uniforms in one numpy step (exact integer shifts and a power-of-two
-    scale).  The inverse CDFs stay scalar ``math`` calls.
+    Draw ``x`` is the first uniform ``u_0`` of the substream of ``x`` (see
+    "Substreams and uniform draws" in docs/formats.md for the derivation),
+    computed without building the stream: the seed-keyed BLAKE2b state is
+    made once and copied per label, and a vector call converts all its
+    blocks to uniforms in one numpy step (exact integer shifts and a
+    power-of-two scale).  The inverse CDFs stay scalar ``math`` calls.
     """
 
     seed: bytes
@@ -342,23 +297,3 @@ class SimNoise:
 
     def single_gumbel(self, stream_id, scale: float) -> float:
         return float(self._take("gumbel", scale, 1)[0])
-
-
-class ZeroNoise:
-    """All draws are 0.0; used by structural tests to expose the noiseless
-    skeleton of a mechanism.  Never wired into the production service."""
-
-    def labeled_laplace(self, role, labels, scale: float) -> np.ndarray:
-        return np.zeros(len(labels))
-
-    def labeled_gumbel(self, role, labels, scale: float) -> np.ndarray:
-        return np.zeros(len(labels))
-
-    def indexed_gumbel(self, role, indices: range, scale: float) -> np.ndarray:
-        return np.zeros(len(indices))
-
-    def single_laplace(self, stream_id, scale: float) -> float:
-        return 0.0
-
-    def single_gumbel(self, stream_id, scale: float) -> float:
-        return 0.0

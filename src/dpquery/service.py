@@ -2,7 +2,8 @@
 
 The execution flow for one query:
 
-  1. classify the group-by column into its (domain, sensitivity) cell
+  1. classify the query into its (domain, sensitivity) cell: the group-by
+     column's ColumnMeta
   2. compute the worst-case expected cost
   3. atomically reserve that cost against the analyst's budget (reject with
      a reason if it does not fit)
@@ -29,14 +30,7 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Mapping
 
-from .budget import (
-    BudgetLedger,
-    Cost,
-    QueryClass,
-    actual_cost,
-    encode_analyst_id,
-    expected_cost,
-)
+from .budget import BudgetLedger, Cost, actual_cost, encode_analyst_id, expected_cost
 from .config import FetchRule, ServiceConfig
 from .mechanisms import (
     DPResult,
@@ -49,7 +43,7 @@ from .mechanisms import (
     translate_query,
 )
 from .noise import KeyedNoise, NoiseKey, canonical_query, derive_seed
-from .store import QueryError, Table, load_snapshot, normalize_filter
+from .store import ColumnMeta, FilterTerms, QueryError, Table, load_snapshot, normalize_filter
 
 __all__ = [
     "QuerySpec",
@@ -73,14 +67,16 @@ class QuerySpec:
     """An analyst's top-k request against one table snapshot.
 
     Construction refuses a malformed field, so nothing malformed reaches
-    admission; the filter is checked against the table by ``execute``.
+    admission, and turns the wire filter mapping into the terms of
+    :func:`~dpquery.store.normalize_filter`, which ``filter`` then holds;
+    ``execute`` checks their columns against the table.
     """
 
     analyst_id: str
     table: str
     group_by: str
     k: int
-    filter: Mapping[str, object] | None = None
+    filter: Mapping[str, object] | FilterTerms | None = None
     as_of_date: date | None = None
 
     def __post_init__(self) -> None:
@@ -94,6 +90,7 @@ class QuerySpec:
             raise QueryError(f"k must be >= 1, got {self.k}")
         if self.as_of_date is not None and not isinstance(self.as_of_date, date):
             raise QueryError(f"as_of_date must be a date, not {type(self.as_of_date).__name__}")
+        object.__setattr__(self, "filter", normalize_filter(self.filter))
 
 
 @dataclass(frozen=True)
@@ -153,11 +150,12 @@ class Rejection:
         }
 
 
+# Keyed by (known domain, restricted sensitivity) of the query's cell.
 _MECHANISM_NAMES = {
-    ("known", "restricted"): "known_laplace",
-    ("known", "unrestricted"): "known_topk",
-    ("unknown", "restricted"): "unknown_laplace",
-    ("unknown", "unrestricted"): "unknown_topk",
+    (True, True): "known_laplace",
+    (True, False): "known_topk",
+    (False, True): "unknown_laplace",
+    (False, False): "unknown_topk",
 }
 
 
@@ -188,78 +186,52 @@ class QueryService:
             raise QueryError(f"unknown table {name!r}")
         return table
 
-    def classify(self, query: QuerySpec) -> QueryClass:
-        """Table-cell lookup for the group-by column.
+    def classify(self, query: QuerySpec) -> ColumnMeta:
+        """The query's cell: its group-by column's declared metadata.
 
-        Columns without declared metadata default to the unknown domain
-        with unrestricted sensitivity and tau = 1.
+        A column without declared metadata is in the unknown domain with
+        unrestricted sensitivity and tau = 1.
         """
-        table = self.table(query.table)
-        meta = table.schema.meta(query.group_by)
-        if meta is None:
-            return QueryClass(domain="unknown", sensitivity="unrestricted")
-        domain = "known" if meta.domain is not None else "unknown"
-        if meta.delta_sensitivity is not None:
-            return QueryClass(
-                domain=domain,
-                sensitivity="restricted",
-                delta_sensitivity=meta.delta_sensitivity,
-                tau=meta.tau,
-                domain_size=len(meta.domain) if meta.domain is not None else None,
-            )
-        return QueryClass(
-            domain=domain,
-            sensitivity="unrestricted",
-            tau=meta.tau,
-            domain_size=len(meta.domain) if meta.domain is not None else None,
-        )
+        return self.table(query.table).schema.meta(query.group_by) or ColumnMeta(query.group_by)
 
-    def _noise_for(self, query: QuerySpec, qclass: QueryClass, as_of: date) -> KeyedNoise:
+    def _noise_for(self, query: QuerySpec, cell: ColumnMeta, as_of: date) -> KeyedNoise:
         canon = canonical_query(
             table=query.table,
             group_by=query.group_by,
-            filter_spec=query.filter,
+            terms=query.filter,
             k=query.k,
-            sensitivity=qclass.sensitivity,
-            tau=qclass.tau,
-            delta_sensitivity=(
-                qclass.delta_sensitivity if qclass.sensitivity == "restricted" else 0
-            ),
+            sensitivity="unrestricted" if cell.delta_sensitivity is None else "restricted",
+            tau=cell.tau,
+            delta_sensitivity=cell.delta_sensitivity or 0,
         )
         seed = derive_seed(NoiseKey(secret=self._secret, query_canon=canon, data_date=as_of))
         return KeyedNoise(seed)
 
     def _run_mechanism(
-        self, query: QuerySpec, qclass: QueryClass, table: Table, as_of: date
+        self, query: QuerySpec, cell: ColumnMeta, table: Table, as_of: date
     ) -> DPResult:
-        noise = self._noise_for(query, qclass, as_of)
-        aggregation = "distinct" if qclass.tau == 1 else "raw"
-        if qclass.domain == "known":
+        noise = self._noise_for(query, cell, as_of)
+        aggregation = "distinct" if cell.tau == 1 else "raw"
+        if cell.domain is not None:
             observed = table.group_counts(query.group_by, query.filter, aggregation)
-            domain = table.schema.meta(query.group_by).domain
-            full = [(value, observed.get(value, 0)) for value in domain]
-            if qclass.sensitivity == "restricted":
-                pairs = lap_known(
-                    full, qclass.delta_sensitivity, qclass.tau, self._params, noise
-                )
+            full = [(value, observed.get(value, 0)) for value in cell.domain]
+            if cell.delta_sensitivity is not None:
+                pairs = lap_known(full, cell.delta_sensitivity, cell.tau, self._params, noise)
             else:
-                pairs = exp_known(full, query.k, qclass.tau, self._params, noise)
+                pairs = exp_known(full, query.k, cell.tau, self._params, noise)
             return DPResult(entries=tuple(pairs))
         fetch_n = translate_query(
-            query.k,
-            "unknown",
-            k_multiplier=self._fetch.k_multiplier,
-            min_fetch=self._fetch.min_fetch,
+            query.k, k_multiplier=self._fetch.k_multiplier, min_fetch=self._fetch.min_fetch
         )
         slice_ = table.top_counts(
             query.group_by, query.filter, limit=fetch_n + 1, aggregation=aggregation
         )
         ranked = rank_histogram(slice_.entries, fetch_n + 1)
-        if qclass.sensitivity == "restricted":
+        if cell.delta_sensitivity is not None:
             return lap_unknown(
-                ranked, qclass.delta_sensitivity, fetch_n, qclass.tau, self._params, noise
+                ranked, cell.delta_sensitivity, fetch_n, cell.tau, self._params, noise
             )
-        return gumbel_unknown(ranked, query.k, fetch_n, qclass.tau, self._params, noise)
+        return gumbel_unknown(ranked, query.k, fetch_n, cell.tau, self._params, noise)
 
     def execute(self, query: QuerySpec) -> QueryResponse | Rejection:
         table = self.table(query.table)
@@ -270,10 +242,10 @@ class QueryService:
                 f"(table holds {table.as_of.isoformat()})"
             )
         # A malformed filter or an unknown column is refused before admission.
-        for column in (query.group_by, *(column for column, _ in normalize_filter(query.filter))):
+        for column in (query.group_by, *(column for column, _, _ in query.filter)):
             table.require_column(column)
-        qclass = self.classify(query)
-        expected = expected_cost(qclass, query.k)
+        cell = self.classify(query)
+        expected = expected_cost(cell, query.k)
         reserved = self._ledger.try_reserve(query.analyst_id, expected)
         if reserved is None:
             record = self._ledger.get_budget(query.analyst_id)
@@ -286,11 +258,11 @@ class QueryService:
                 budget_remaining=record.remaining(),
             )
         try:
-            result = self._run_mechanism(query, qclass, table, as_of)
+            result = self._run_mechanism(query, cell, table, as_of)
         except Exception:
             self._ledger.release(query.analyst_id, expected)
             raise
-        charge = actual_cost(result, qclass, query.k)
+        charge = actual_cost(result, cell, query.k)
         record = self._ledger.settle(query.analyst_id, expected, charge)
         rounded = tuple((e, max(0, round(v))) for e, v in result.entries)
         return QueryResponse(
@@ -298,7 +270,7 @@ class QueryService:
             noisy_values=tuple(v for _, v in result.entries),
             truncated=result.terminated_by_bot,
             threshold_value=result.bot_value,
-            mechanism=_MECHANISM_NAMES[(qclass.domain, qclass.sensitivity)],
+            mechanism=_MECHANISM_NAMES[cell.domain is not None, cell.delta_sensitivity is not None],
             k=query.k,
             cost_charged=charge,
             budget_remaining=record.remaining(),
@@ -359,7 +331,8 @@ class _RequestHandler(socketserver.StreamRequestHandler):
         return CONNECTION_TIMEOUT_S
 
     def handle(self) -> None:
-        with contextlib.suppress(TimeoutError):  # a client idle or not reading: close
+        # A client idle, not reading or gone: close its connection quietly.
+        with contextlib.suppress(TimeoutError, ConnectionError):
             while line := self.rfile.readline(MAX_REQUEST_BYTES + 1):
                 if len(line) > MAX_REQUEST_BYTES and not line.endswith(b"\n"):
                     error = f"request line longer than {MAX_REQUEST_BYTES} bytes"

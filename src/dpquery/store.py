@@ -36,6 +36,7 @@ __all__ = [
     "Schema",
     "HistogramSlice",
     "Table",
+    "FilterTerms",
     "IngestError",
     "QueryError",
     "ingest",
@@ -155,14 +156,18 @@ class HistogramSlice:
     aggregation: str
 
 
-def normalize_filter(
-    filter_spec: Mapping[str, object] | None,
-) -> tuple[tuple[str, tuple[str, ...]], ...]:
-    """Normalize a filter to sorted (column, sorted-values) conjunctions.
+# One filter term: (column, op, values).  ``op`` is "=" for equality (one
+# value) and "@" for membership (sorted, deduplicated values).
+FilterTerms = tuple[tuple[str, str, tuple[str, ...]], ...]
 
-    A term maps a column to a string (equality) or to a list, tuple or set
-    of values (membership, compared as strings).  Anything else, and an
-    empty membership set, raises :class:`QueryError` naming the column.
+
+def normalize_filter(filter_spec: Mapping[str, object] | None) -> FilterTerms:
+    """Normalize a filter to sorted (column, op, values) conjunctions.
+
+    A term maps a column to a string (equality, op "=") or to a list, tuple
+    or set of values (membership, op "@", compared as strings), so a
+    one-element list stays membership.  Anything else, and an empty
+    membership set, raises :class:`QueryError` naming the column.
     """
     if not filter_spec:
         return ()
@@ -172,11 +177,11 @@ def normalize_filter(
     for column in sorted(filter_spec):
         value = filter_spec[column]
         if isinstance(value, str):
-            terms.append((column, (value,)))
+            terms.append((column, "=", (value,)))
         elif isinstance(value, (list, tuple, set, frozenset)):
             if not value:
                 raise QueryError(f"empty membership set for filter column {column!r}")
-            terms.append((column, tuple(sorted({str(v) for v in value}))))
+            terms.append((column, "@", tuple(sorted({str(v) for v in value}))))
         else:
             raise QueryError(
                 f"filter column {column!r} needs a string or a list of strings, "
@@ -302,23 +307,16 @@ class Table:
         if column not in self._columns and column not in self.schema.columns:
             raise QueryError(f"unknown column {column!r}")
 
-    def domain_size(self, column: str) -> int | None:
-        """Declared domain cardinality, or None when the domain is unknown."""
-        self.require_column(column)
-        meta = self.schema.meta(column)
-        if meta is None or meta.domain is None:
-            return None
-        return len(meta.domain)
-
     def _prepare(
-        self, group_by: str, filter_spec: Mapping[str, object] | None, aggregation: str
+        self, group_by: str, terms: FilterTerms, aggregation: str
     ) -> tuple[_Column, np.ndarray | None]:
-        """The group-by column and the filter's row mask (None = no filter)."""
+        """The group-by column and the row mask of the filter terms (None =
+        no filter)."""
         self.require_column(group_by)
         if aggregation not in ("distinct", "raw"):
             raise QueryError(f"unknown aggregation {aggregation!r}")
         mask = None
-        for column, values in normalize_filter(filter_spec):
+        for column, _, values in terms:
             self.require_column(column)
             col = self._columns[column]
             wanted = [c for c in map(col.code, values) if c is not None]
@@ -329,11 +327,12 @@ class Table:
     def group_counts(
         self,
         group_by: str,
-        filter_spec: Mapping[str, object] | None = None,
+        terms: FilterTerms = (),
         aggregation: str = "distinct",
     ) -> dict[str, int]:
-        """Exact counts per group value (only values present in the data)."""
-        col, mask = self._prepare(group_by, filter_spec, aggregation)
+        """Exact counts per group value (only values present in the data)
+        over the rows that match the :func:`normalize_filter` terms."""
+        col, mask = self._prepare(group_by, terms, aggregation)
         if mask is None:
             return dict(col.totals[aggregation])
         counts = col.counts(mask, aggregation)
@@ -343,14 +342,15 @@ class Table:
     def top_counts(
         self,
         group_by: str,
-        filter_spec: Mapping[str, object] | None = None,
+        terms: FilterTerms = (),
         limit: int = 100,
         aggregation: str = "distinct",
     ) -> HistogramSlice:
-        """Top ``limit`` exact counts, deterministically ordered."""
+        """Top ``limit`` exact counts, deterministically ordered, over the
+        rows that match the :func:`normalize_filter` terms."""
         if limit < 1:
             raise QueryError(f"limit must be >= 1, got {limit}")
-        col, mask = self._prepare(group_by, filter_spec, aggregation)
+        col, mask = self._prepare(group_by, terms, aggregation)
         if mask is None:
             entries = col.ranked[aggregation][:limit]
         else:

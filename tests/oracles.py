@@ -4,16 +4,24 @@ Everything here is deliberately written from scratch against the math, not
 by calling into the package: a high-precision Decimal evaluation of the
 composition bound, a plain brute-force group-by, a linear-space bisection
 for the threshold root, a straight-line replay of the budget update rules,
-and a record-by-record replay of the budget journal.
+a record-by-record replay of the budget journal, and the reference noise
+path: counter-mode substreams built one stream at a time, which
+``KeyedNoise`` must match bit for bit, and an all-zero noise source.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import struct
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal, getcontext
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
+
+from dpquery.noise import gumbel_from_uniform, laplace_from_uniform
 
 
 def br_compose_decimal(eps: str | float, t: int, delta_prime: str | float, prec: int = 60) -> Decimal:
@@ -189,3 +197,61 @@ def chi_square_stat(observed: Sequence[int], probs: Sequence[float]) -> float:
 
 # Upper critical values of the chi-square distribution at significance 0.01.
 CHI2_CRIT_01 = {1: 6.634896601021211, 2: 9.21034037197618, 3: 11.344866730144371}
+
+
+# Smallest / largest uniforms handed to the inverse CDFs.
+_U_MIN = 2.0**-53
+_U_MAX = 1.0 - 2.0**-53
+
+
+@dataclass
+class NoiseStream:
+    """Counter-mode PRF stream; (seed, counter) reproducibly determine draws."""
+
+    seed: bytes
+    counter: int = 0
+
+    def uniform(self) -> float:
+        """Next uniform in [2^-53, 1 - 2^-53] with 53-bit resolution."""
+        block = hashlib.blake2b(
+            self.counter.to_bytes(8, "big"), key=self.seed, digest_size=8
+        ).digest()
+        self.counter += 1
+        u = (int.from_bytes(block, "big") >> 11) * _U_MIN
+        return min(max(u, _U_MIN), _U_MAX)
+
+
+def substream(seed: bytes, element_id: str) -> NoiseStream:
+    """Independent per-element stream; stable under element reordering."""
+    child = hashlib.blake2b(
+        element_id.encode("utf-8"), key=seed, digest_size=32
+    ).digest()
+    return NoiseStream(seed=child)
+
+
+def laplace(stream: NoiseStream, scale: float) -> float:
+    return laplace_from_uniform(stream.uniform(), scale)
+
+
+def gumbel(stream: NoiseStream, scale: float) -> float:
+    return gumbel_from_uniform(stream.uniform(), scale)
+
+
+class ZeroNoise:
+    """All draws are 0.0; used by structural tests to expose the noiseless
+    skeleton of a mechanism."""
+
+    def labeled_laplace(self, role, labels, scale: float) -> np.ndarray:
+        return np.zeros(len(labels))
+
+    def labeled_gumbel(self, role, labels, scale: float) -> np.ndarray:
+        return np.zeros(len(labels))
+
+    def indexed_gumbel(self, role, indices: range, scale: float) -> np.ndarray:
+        return np.zeros(len(indices))
+
+    def single_laplace(self, stream_id, scale: float) -> float:
+        return 0.0
+
+    def single_gumbel(self, stream_id, scale: float) -> float:
+        return 0.0

@@ -35,7 +35,7 @@ from dpquery.mechanisms import (
 )
 from dpquery.noise import SimNoise
 from dpquery.service import QueryService, QuerySpec, Rejection
-from dpquery.store import ColumnMeta, EventRecord, Schema, Table, ingest
+from dpquery.store import ColumnMeta, EventRecord, Schema, Table, ingest, normalize_filter
 from oracles import CHI2_CRIT_01, BudgetReplay, br_compose_decimal, chi_square_stat
 
 from conftest import AS_OF, SECRET, cli_env, make_records, make_schema
@@ -426,6 +426,6 @@ def test_criterion_10_store_matches_brute_force():
                     key=lambda kv: (-kv[1], kv[0]),
                 )
                 got = table.top_counts(
-                    "item", filter_spec={"title": sorted(keep)}, limit=len(expected_f)
+                    "item", terms=normalize_filter({"title": sorted(keep)}), limit=len(expected_f)
                 )
                 assert list(got.entries) == expected_f

@@ -19,18 +19,28 @@ from dpquery.budget import (
     BudgetError,
     BudgetLedger,
     Cost,
-    QueryClass,
     actual_cost,
     expected_cost,
 )
 from dpquery.mechanisms import DPResult
+from dpquery.store import ColumnMeta
 from conftest import cli_env
 from oracles import BudgetReplay, replay_budget_journal
 
-UNKNOWN_UNRESTRICTED = QueryClass("unknown", "unrestricted")
-UNKNOWN_RESTRICTED_1 = QueryClass("unknown", "restricted", delta_sensitivity=1)
-KNOWN_RESTRICTED_1 = QueryClass("known", "restricted", delta_sensitivity=1)
-KNOWN_UNRESTRICTED = QueryClass("known", "unrestricted")
+
+def cell(domain: str, sensitivity: str, delta_sensitivity: int = 1) -> ColumnMeta:
+    """The metadata of a group-by column in the given (domain, sensitivity) cell."""
+    return ColumnMeta(
+        "c",
+        domain=("x",) if domain == "known" else None,
+        delta_sensitivity=delta_sensitivity if sensitivity == "restricted" else None,
+    )
+
+
+UNKNOWN_UNRESTRICTED = cell("unknown", "unrestricted")
+UNKNOWN_RESTRICTED_1 = cell("unknown", "restricted", delta_sensitivity=1)
+KNOWN_RESTRICTED_1 = cell("known", "restricted", delta_sensitivity=1)
+KNOWN_UNRESTRICTED = cell("known", "unrestricted")
 
 
 class FakeClock:
@@ -52,7 +62,7 @@ class TestCostRules:
         assert expected_cost(UNKNOWN_UNRESTRICTED, 50) == Cost(101, 1)
         assert expected_cost(KNOWN_RESTRICTED_1, 50) == Cost(1, 0)
         assert expected_cost(UNKNOWN_RESTRICTED_1, 50) == Cost(1, 1)
-        assert expected_cost(QueryClass("unknown", "restricted", delta_sensitivity=7), 3) == Cost(7, 1)
+        assert expected_cost(cell("unknown", "restricted", delta_sensitivity=7), 3) == Cost(7, 1)
         assert expected_cost(KNOWN_UNRESTRICTED, 10) == Cost(20, 0)
 
     def test_actual_costs(self):
@@ -61,7 +71,7 @@ class TestCostRules:
         assert actual_cost(result_with(0, bot=True), UNKNOWN_UNRESTRICTED, 50) == Cost(0, 1)
         assert actual_cost(result_with(3, bot=True), UNKNOWN_RESTRICTED_1, 50) == Cost(1, 1)
         assert actual_cost(
-            result_with(3, bot=True), QueryClass("unknown", "restricted", delta_sensitivity=9), 50
+            result_with(3, bot=True), cell("unknown", "restricted", delta_sensitivity=9), 50
         ) == Cost(1, 1)
         assert actual_cost(result_with(5, bot=False), KNOWN_RESTRICTED_1, 50) == Cost(1, 0)
         assert actual_cost(result_with(10, bot=False), KNOWN_UNRESTRICTED, 10) == Cost(20, 0)
@@ -71,8 +81,6 @@ class TestCostRules:
             Cost(-1, 0)
         with pytest.raises(ValueError):
             expected_cost(UNKNOWN_UNRESTRICTED, 0)
-        with pytest.raises(ValueError):
-            QueryClass("sideways", "restricted")
 
 
 class TestLedgerBasics:
@@ -431,7 +439,7 @@ class TestReplayOracle:
                 domain, sens = rnd.choice(self.CELLS)
                 delta_sens = rnd.randint(1, 5)
                 k = rnd.randint(1, 12)
-                qclass = QueryClass(domain, sens, delta_sensitivity=delta_sens)
+                qclass = cell(domain, sens, delta_sensitivity=delta_sens)
                 released = rnd.randint(0, k)
                 bot = released < k if domain == "unknown" else False
                 expected = expected_cost(qclass, k)

@@ -24,13 +24,9 @@ from dpquery.noise import (
     NoiseKey,
     ParameterError,
     SimNoise,
-    ZeroNoise,
     derive_seed,
-    gumbel,
-    laplace,
-    substream,
 )
-from oracles import CHI2_CRIT_01, chi_square_stat, delta_hat_bisect
+from oracles import CHI2_CRIT_01, ZeroNoise, chi_square_stat, delta_hat_bisect, gumbel, laplace, substream
 
 from conftest import SECRET
 
@@ -394,23 +390,16 @@ class TestDifferentialPrivacySmoke:
 
 class TestTranslateQuery:
     def test_unknown_domain_fetch_sizes(self):
-        assert translate_query(50, "unknown") == 1000
-        assert translate_query(200, "unknown") == 2000
-
-    def test_known_domain_full_fetch(self):
-        assert translate_query(5, "known", d=37) == 37
+        assert translate_query(50) == 1000
+        assert translate_query(200) == 2000
 
     def test_config_override(self):
-        assert translate_query(50, "unknown", k_multiplier=2, min_fetch=12) == 100
-        assert translate_query(3, "unknown", k_multiplier=2, min_fetch=12) == 12
+        assert translate_query(50, k_multiplier=2, min_fetch=12) == 100
+        assert translate_query(3, k_multiplier=2, min_fetch=12) == 12
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            translate_query(0, "unknown")
-        with pytest.raises(ParameterError):
-            translate_query(5, "known")
-        with pytest.raises(ParameterError):
-            translate_query(5, "sideways")
+            translate_query(0)
 
 
 def test_rank_histogram_pads_and_sorts():

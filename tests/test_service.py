@@ -11,7 +11,7 @@ from dpquery.config import FetchRule
 from dpquery.mechanisms import PrivacyParams, gumbel_unknown, rank_histogram, translate_query
 from dpquery.noise import KeyedNoise, NoiseKey, canonical_query, derive_seed
 from dpquery.service import MAX_REQUEST_BYTES, QueryService, QuerySpec, Rejection, ServiceServer
-from dpquery.store import QueryError, ingest
+from dpquery.store import QueryError, ingest, normalize_filter
 
 from conftest import AS_OF, SECRET, make_records, make_schema
 
@@ -69,7 +69,7 @@ class TestClassify:
     def test_restricted_unknown_domain(self):
         service = build_service()
         qc = service.classify(query(group_by="title"))
-        assert (qc.domain, qc.sensitivity, qc.delta_sensitivity) == ("unknown", "restricted", 1)
+        assert (qc.domain, qc.delta_sensitivity) == (None, 1)
 
     def test_undeclared_column_defaults(self):
         table = ingest(
@@ -79,17 +79,17 @@ class TestClassify:
         )
         service = build_service(table)
         qc = service.classify(query(group_by="item"))
-        assert (qc.domain, qc.sensitivity, qc.tau) == ("unknown", "unrestricted", 1)
+        assert (qc.domain, qc.delta_sensitivity, qc.tau) == (None, None, 1)
 
     def test_known_unrestricted(self):
         service = build_service()
         qc = service.classify(query(group_by="seniority"))
-        assert (qc.domain, qc.sensitivity, qc.domain_size) == ("known", "unrestricted", 10)
+        assert (len(qc.domain), qc.delta_sensitivity) == (10, None)
 
     def test_known_restricted(self):
         service = build_service()
         qc = service.classify(query(group_by="region"))
-        assert (qc.domain, qc.sensitivity, qc.domain_size) == ("known", "restricted", 4)
+        assert (len(qc.domain), qc.delta_sensitivity) == (4, 1)
 
 
 class TestExecute:
@@ -114,11 +114,11 @@ class TestExecute:
 
         qclass = service.classify(spec)
         d_bar = translate_query(
-            spec.k, qclass.domain, k_multiplier=FETCH.k_multiplier, min_fetch=FETCH.min_fetch
+            spec.k, k_multiplier=FETCH.k_multiplier, min_fetch=FETCH.min_fetch
         )
-        slice_ = table.top_counts("item", {"region": "amer"}, limit=d_bar + 1)
+        slice_ = table.top_counts("item", normalize_filter({"region": "amer"}), limit=d_bar + 1)
         canon = canonical_query(
-            table="events", group_by="item", filter_spec={"region": "amer"},
+            table="events", group_by="item", terms=normalize_filter({"region": "amer"}),
             k=10, sensitivity="unrestricted", tau=1, delta_sensitivity=0,
         )
         noise = KeyedNoise(derive_seed(NoiseKey(SECRET, canon, AS_OF)))
@@ -610,6 +610,31 @@ class TestServer:
             assert not stopper.is_alive()
         finally:
             sock.close()
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_client_that_resets_is_closed_quietly(self, capsys):
+        import struct
+        import threading
+        import time
+
+        server = ServiceServer(build_service()).start()
+        pings = b'{"op":"ping"}\n' * 2_000
+        try:
+            for _ in range(3):
+                with socket.create_connection(server.address, timeout=10) as sock:
+                    sock.sendall(pings)  # and read no reply
+                    time.sleep(0.2)
+                    # Linger 0: close() sends a reset, not a FIN.
+                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            deadline = time.monotonic() + 10
+            while server._connections and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not server._connections
+        finally:
+            stopper = threading.Thread(target=server.stop)
+            stopper.start()
+            stopper.join(timeout=3)
+        assert not stopper.is_alive()
         assert "Traceback" not in capsys.readouterr().err
 
     def test_unknown_op(self):
