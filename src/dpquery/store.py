@@ -310,8 +310,7 @@ class Table:
     def _prepare(
         self, group_by: str, terms: FilterTerms, aggregation: str
     ) -> tuple[_Column, np.ndarray | None]:
-        """The group-by column and the row mask of the filter terms (None =
-        no filter)."""
+        """The group-by column and the terms' row mask (None = no filter)."""
         self.require_column(group_by)
         if aggregation not in ("distinct", "raw"):
             raise QueryError(f"unknown aggregation {aggregation!r}")

@@ -4,9 +4,12 @@ Everything here is deliberately written from scratch against the math, not
 by calling into the package: a high-precision Decimal evaluation of the
 composition bound, a plain brute-force group-by, a linear-space bisection
 for the threshold root, a straight-line replay of the budget update rules,
-a record-by-record replay of the budget journal, and the reference noise
-path: counter-mode substreams built one stream at a time, which
-``KeyedNoise`` must match bit for bit, and an all-zero noise source.
+and a record-by-record replay of the budget journal.
+
+Two test helpers sit beside them.  The reference noise path builds each
+counter-mode substream one stream at a time (docs/formats.md) and uses the
+package's inverse CDFs; ``KeyedNoise`` must match it bit for bit.
+``ZeroNoise`` draws 0.0 everywhere.
 """
 
 from __future__ import annotations
