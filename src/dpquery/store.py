@@ -501,27 +501,49 @@ def _row_problem(row: object, dims: set[str]) -> str:
     return "field values must be JSON scalars"
 
 
+# Decodes snapshot rows with every number as the text ``str()`` gives it,
+# so a value is coded by the string it loads as: 1, 1.0 and true compare
+# equal in Python, but load as "1", "1.0" and "True".  true, false and null
+# stay as they are; no two of them compare equal, nor equal a string.
+_ROW_DECODER = json.JSONDecoder(
+    parse_int=lambda text: str(int(text)),
+    parse_float=lambda text: str(float(text)),
+    parse_constant=lambda text: str(float(text)),
+)
+
+
+def _json_error(line: str) -> json.JSONDecodeError:
+    """The error ``json.loads`` gives for a line that does not decode (it
+    also names a leading byte-order mark, which a bare decoder does not)."""
+    try:
+        json.loads(line)
+    except json.JSONDecodeError as exc:
+        return exc
+    raise ValueError(f"line decodes: {line!r}")
+
+
 def _encode_rows(path: Path, schema: Schema) -> dict[str, tuple[list, np.ndarray]]:
     """Parse snapshot rows straight into first-seen codes per field.
 
     Each row must hold exactly the reserved fields and the schema's
     dimension columns; the first row that does not, or whose event_date is
-    not an ISO date, raises :class:`IngestError` with its line index.
+    not an ISO date, raises :class:`IngestError` with its line index.  A
+    non-string scalar loads as ``str(value)``.
     """
     dims = schema.dimension_columns()
     slots = [(name, {}, array("i")) for name in (*RESERVED_FIELDS, *dims)]
     width = len(slots)
     date_ids = slots[RESERVED_FIELDS.index("event_date")][1]
     dates: list[date] = []
-    loads = json.loads
+    decode = _ROW_DECODER.decode
     with open(path, "r", encoding="utf-8") as fh:
         for i, line in enumerate(fh):
             if line.isspace():
                 continue
             try:
-                row = loads(line)
-            except json.JSONDecodeError as exc:
-                raise IngestError([(i, f"invalid JSON: {exc}")]) from None
+                row = decode(line)
+            except json.JSONDecodeError:
+                raise IngestError([(i, f"invalid JSON: {_json_error(line)}")]) from None
             try:
                 for name, ids, codes in slots:
                     codes.append(ids.setdefault(row[name], len(ids)))

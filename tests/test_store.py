@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 import re
 from datetime import timedelta
@@ -383,6 +384,21 @@ class TestFileFormats:
         rows.write_text(rows.read_text() + line + "\n")
         with pytest.raises(IngestError, match="row 1: .*" + re.escape(reason)):
             load_snapshot(tmp_path / "snap")
+
+    def test_snapshot_scalars_load_as_their_text(self, tmp_path):
+        # 1, 1.0 and true (and 0, -0.0 and false) compare equal in Python;
+        # each row loads as str(value), as load_ndjson gives it.
+        table = table_of([("m1", "a", {"title": "x"})])
+        save_snapshot(table, tmp_path / "snap")
+        rows = tmp_path / "snap" / "rows.ndjson"
+        items = [1, True, 1.0, "1", None, False, 0, -0.0, 1e400]
+        rows.write_text("".join(
+            json.dumps({"member_id": f"m{n}", "item": item, "event_date": "2020-06-30", "title": "x"}) + "\n"
+            for n, item in enumerate(items)
+        ))
+        expected = {"1": 2, "True": 1, "1.0": 1, "None": 1, "False": 1, "0": 1, "-0.0": 1, "inf": 1}
+        assert load_snapshot(tmp_path / "snap").group_counts("item") == expected
+        assert ingest(load_ndjson(rows), table.schema, AS_OF).group_counts("item") == expected
 
     def test_snapshot_round_trip(self, tmp_path):
         schema = make_schema(item={}, title={"delta": 1})
