@@ -6,6 +6,9 @@ composition bound, a plain brute-force group-by, a linear-space bisection
 for the threshold root, a straight-line replay of the budget update rules,
 and a record-by-record replay of the budget journal.
 
+``reference_encode_rows`` is the line-by-line snapshot row coder that
+``load_snapshot`` must agree with, table for table and error for error.
+
 Two test helpers sit beside them.  The reference noise path builds each
 counter-mode substream one stream at a time (docs/formats.md) and uses the
 package's inverse CDFs; ``KeyedNoise`` must match it bit for bit.
@@ -15,16 +18,20 @@ package's inverse CDFs; ``KeyedNoise`` must match it bit for bit.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import struct
+from array import array
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from decimal import Decimal, getcontext
+from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from dpquery.noise import gumbel_from_uniform, laplace_from_uniform
+from dpquery.store import RESERVED_FIELDS, IngestError, Schema, _row_problem
 
 
 def br_compose_decimal(eps: str | float, t: int, delta_prime: str | float, prec: int = 60) -> Decimal:
@@ -258,3 +265,59 @@ class ZeroNoise:
 
     def single_gumbel(self, stream_id, scale: float) -> float:
         return 0.0
+
+
+# Numbers decode as the text str() gives them (see reference_encode_rows).
+_ROW_DECODER = json.JSONDecoder(
+    parse_int=lambda text: str(int(text)),
+    parse_float=lambda text: str(float(text)),
+    parse_constant=lambda text: str(float(text)),
+)
+
+
+def reference_encode_rows(path: str | Path, schema: Schema) -> dict[str, tuple[list, np.ndarray]]:
+    """First-seen values and codes per field of a snapshot's ``rows.ndjson``,
+    one text line at a time.
+
+    Each non-blank line is one JSON object holding exactly the reserved
+    fields and the schema's dimension columns, and each value loads as
+    ``str(value)``; the first line that does not, or whose event_date is not
+    an ISO date, raises :class:`IngestError` with its line index and reason.
+    """
+    dims = schema.dimension_columns()
+    slots = [(name, {}, array("i")) for name in (*RESERVED_FIELDS, *dims)]
+    width = len(slots)
+    date_ids = slots[RESERVED_FIELDS.index("event_date")][1]
+    dates: list[date] = []
+    decode = _ROW_DECODER.decode
+    with open(path, "r", encoding="utf-8") as fh:
+        for i, line in enumerate(fh):
+            if line.isspace():
+                continue
+            try:
+                row = decode(line)
+            except json.JSONDecodeError:
+                try:
+                    json.loads(line)  # words the error as json.loads does
+                except json.JSONDecodeError as exc:
+                    raise IngestError([(i, f"invalid JSON: {exc}")]) from None
+            try:
+                for name, ids, codes in slots:
+                    codes.append(ids.setdefault(row[name], len(ids)))
+                if len(row) != width:
+                    raise KeyError("extra fields")
+            except (KeyError, TypeError):
+                raise IngestError([(i, _row_problem(row, set(dims)))]) from None
+            if len(date_ids) > len(dates):  # this row brought a new date
+                raw = row["event_date"]
+                try:
+                    dates.append(date.fromisoformat(str(raw)))
+                except ValueError:
+                    raise IngestError([(i, f"bad event_date {raw!r}")]) from None
+    return {
+        name: (
+            dates if ids is date_ids else [v if isinstance(v, str) else str(v) for v in ids],
+            np.frombuffer(codes, dtype=np.intc).astype(np.int32),
+        )
+        for name, ids, codes in slots
+    }

@@ -3,16 +3,20 @@ from __future__ import annotations
 import json
 import random
 import re
+import tempfile
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dpquery import store
 from dpquery.store import (
     ColumnMeta,
     IngestError,
     QueryError,
+    Table,
     ingest,
     load_csv,
     load_ndjson,
@@ -20,7 +24,7 @@ from dpquery.store import (
     normalize_filter,
     save_snapshot,
 )
-from oracles import brute_force_group_by, sort_counts
+from oracles import brute_force_group_by, reference_encode_rows, sort_counts
 
 from conftest import AS_OF, make_records, make_schema
 
@@ -320,7 +324,126 @@ class TestNormalizeFilter:
             normalize_filter(["country"])
 
 
+SNAPSHOT_SCHEMA = make_schema(item={}, title={})
+# Values save_snapshot writes between quotes as they are.
+PLAIN_VALUES = ["a", "b", "m1", "x y", "~\x7f", "L" * 64, ""]
+# Values written with escapes, longer than 64 bytes, or not strings.
+ODD_VALUES = ['q"uote', "back\\slash", "caf\u00e9", "tab\t", "nul\x00", "\U0001f600", "L" * 65,
+              1, True, 1.0, None, 0, False]
+DATES = ["2020-06-30", "2020-06-29", "20200629", 20200630]
+
+
+def canonical_line(member, item, when, title) -> str:
+    row = {"member_id": member, "item": item, "event_date": when, "title": title}
+    return json.dumps(row, sort_keys=True, separators=(",", ":"))
+
+
+@st.composite
+def good_lines(draw) -> str:
+    """A line that loads as a row (or is blank): mostly canonical, else any
+    other shape such a line can take."""
+    odd = draw(st.integers(min_value=0, max_value=3))
+    values = st.sampled_from(PLAIN_VALUES if odd else PLAIN_VALUES + ODD_VALUES)
+    when = draw(st.sampled_from(DATES[:2] if odd else DATES))
+    row = {"member_id": draw(values), "item": draw(values), "event_date": when, "title": draw(values)}
+    text = json.dumps(row, sort_keys=True, separators=(",", ":"))
+    if odd:
+        return text
+    shape = draw(st.sampled_from(["compact", "spaced", "reordered", "raw", "duplicate", "blank"]))
+    if shape == "spaced":
+        return json.dumps(row, sort_keys=True)
+    if shape == "reordered":
+        return json.dumps({k: row[k] for k in draw(st.permutations(list(row)))}, separators=(",", ":"))
+    if shape == "raw":
+        return json.dumps(row, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    if shape == "duplicate":
+        return text[:-1] + ',"item":"dup"}'
+    if shape == "blank":
+        return draw(st.sampled_from(["", "  ", "\t \x0c"]))
+    return text
+
+
+@st.composite
+def bad_lines(draw) -> str:
+    """A line that load_snapshot refuses."""
+    line = draw(good_lines().filter(lambda line: line.startswith("{")))
+    row = json.loads(line)
+    shape = draw(st.sampled_from(["date", "missing", "extra", "list", "invalid"]))
+    if shape == "date":
+        row["event_date"] = draw(st.sampled_from(["2020-13-01", "30.06.2020", "", True]))
+    elif shape == "missing":
+        del row[draw(st.sampled_from(sorted(row)))]
+    elif shape == "extra":
+        row["country"] = "de"
+    elif shape == "list":
+        row[draw(st.sampled_from(sorted(row)))] = draw(st.sampled_from([["b"], {"a": 1}]))
+    else:
+        return draw(st.sampled_from(["not json", line[:-1], line + ",", '["m1"]', "\ufeff" + line]))
+    return json.dumps(row, sort_keys=True, separators=(",", ":"))
+
+
+@st.composite
+def snapshot_rows(draw) -> bytes:
+    """A rows.ndjson file: good lines with up to two bad ones among them,
+    LF or CRLF endings, maybe no final newline."""
+    lines = draw(st.lists(good_lines(), max_size=40))
+    for bad in draw(st.lists(bad_lines(), max_size=2)):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), bad)
+    ends = draw(st.lists(st.sampled_from(["\n"] * 5 + ["\r\n"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text.removesuffix(ends[-1])
+    return text.encode("utf-8")
+
+
+def outcome(build):
+    try:
+        return build()
+    except Exception as exc:  # compared with the reference's outcome
+        return exc
+
+
+def table_state(table: Table) -> dict:
+    """Vocabulary and codes of every field, and the ranked counts of both
+    aggregations of every column."""
+    state = {
+        name: (tuple(vocab), codes.dtype, codes.tolist())
+        for name, (vocab, codes) in (("member_id", table._members), ("event_date", table._dates))
+    }
+    for name, col in table._columns.items():
+        state[name] = (col.vocab, col.codes.dtype, col.codes.tolist(), col.ranked)
+    return state
+
+
+def _file(*lines: str) -> bytes:
+    return "".join(line + "\n" for line in lines).encode()
+
+
+GOOD_LINES = [canonical_line(f"m{n}", "a", "2020-06-30", "x") for n in range(4)]
+BAD_DATE_LINE = canonical_line("m9", "b", "2020-13-01", "y")
+
+
 class TestFileFormats:
+    @settings(max_examples=150, deadline=None)
+    @given(snapshot_rows(), st.sampled_from([160, 400]))
+    @example(_file(*GOOD_LINES, BAD_DATE_LINE, *GOOD_LINES, "not json", *GOOD_LINES), 160)
+    @example(_file(*GOOD_LINES, "not json", *GOOD_LINES, BAD_DATE_LINE, *GOOD_LINES), 160)
+    @example(b"", 160)
+    def test_snapshot_load_matches_line_by_line_reference(self, content, block):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(store, "_BLOCK_BYTES", block, raising=False)  # many blocks per file
+            snap = Path(tmp)
+            save_snapshot(ingest([], SNAPSHOT_SCHEMA, AS_OF), snap)
+            (snap / "rows.ndjson").write_bytes(content)
+            expected = outcome(lambda: Table(
+                SNAPSHOT_SCHEMA, AS_OF, reference_encode_rows(snap / "rows.ndjson", SNAPSHOT_SCHEMA)
+            ))
+            got = outcome(lambda: load_snapshot(snap))
+        if isinstance(expected, Exception):
+            assert (type(got), str(got)) == (type(expected), str(expected))
+        else:
+            assert table_state(got) == table_state(expected)
+
     def test_ndjson_round_trip(self, tmp_path):
         path = tmp_path / "events.ndjson"
         path.write_text(
