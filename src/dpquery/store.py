@@ -20,13 +20,16 @@ construction, so no query sorts rows.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import operator
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date, timedelta
+from itertools import islice
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import BinaryIO, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -191,7 +194,10 @@ def normalize_filter(filter_spec: Mapping[str, object] | None) -> FilterTerms:
 
 
 def _sorted_codes(values: Sequence[object], codes: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """Re-code ``codes`` (indices into ``values``) against the sorted distinct values."""
+    """Re-code ``codes`` (indices into ``values``) against the sorted distinct
+    values; values that are already strictly ascending are kept as they are."""
+    if all(map(operator.lt, values, islice(values, 1, None))):
+        return tuple(values), codes.astype(np.int32, copy=False)
     vocab = tuple(sorted(set(values)))
     position = {v: i for i, v in enumerate(vocab)}
     remap = np.fromiter(map(position.__getitem__, values), np.int32, len(values))
@@ -269,8 +275,10 @@ class Table:
     Re-ingesting produces a new table; concurrent reads of one table are
     safe.  ``fields`` maps ``member_id``, ``event_date``, ``item`` and every
     dimension column to (values, codes): values in any order (repeats are
-    merged) and one code per row indexing into them.  Build tables with
-    :func:`ingest` or :func:`load_snapshot`.
+    merged) and one code per row indexing into them.  Strictly ascending
+    values, as :func:`load_snapshot` gives for canonical rows, are taken
+    as the vocabulary with no re-sort and no copy of the codes.  Build
+    tables with :func:`ingest` or :func:`load_snapshot`.
     """
 
     def __init__(self, schema: Schema, as_of: date,
@@ -522,22 +530,29 @@ def _json_error(line: str) -> json.JSONDecodeError:
     raise ValueError(f"line decodes: {line!r}")
 
 
-def _encode_rows(path: Path, schema: Schema) -> dict[str, tuple[list, np.ndarray]]:
-    """Parse snapshot rows straight into first-seen codes per field.
+class _LineCoder:
+    """The per-line path: each line decoded on its own into first-seen codes
+    per field, carried across the blocks it is given.
 
     Each row must hold exactly the reserved fields and the schema's
     dimension columns; the first row that does not, or whose event_date is
-    not an ISO date, raises :class:`IngestError` with its line index.  A
-    non-string scalar loads as ``str(value)``.
+    not an ISO date, raises :class:`IngestError` with its line index.
     """
-    dims = schema.dimension_columns()
-    slots = [(name, {}, array("i")) for name in (*RESERVED_FIELDS, *dims)]
-    width = len(slots)
-    date_ids = slots[RESERVED_FIELDS.index("event_date")][1]
-    dates: list[date] = []
-    decode = _ROW_DECODER.decode
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
+
+    def __init__(self, names: Sequence[str], dims: set[str]):
+        self.slots = [(name, {}, array("i")) for name in names]
+        self.dims = dims
+        self.date_ids = self.slots[RESERVED_FIELDS.index("event_date")][1]
+        self.dates: list[date] = []
+
+    def code(self, block: bytes, first: int) -> int:
+        """Code the lines of ``block``, the first of which has index
+        ``first``, with the file's line endings; return the next index."""
+        slots, width, dims = self.slots, len(self.slots), self.dims
+        date_ids, dates = self.date_ids, self.dates
+        decode = _ROW_DECODER.decode
+        i = first - 1
+        for i, line in enumerate(io.TextIOWrapper(io.BytesIO(block), encoding="utf-8"), first):
             if line.isspace():
                 continue
             try:
@@ -550,20 +565,237 @@ def _encode_rows(path: Path, schema: Schema) -> dict[str, tuple[list, np.ndarray
                 if len(row) != width:
                     raise KeyError("extra fields")
             except (KeyError, TypeError):
-                raise IngestError([(i, _row_problem(row, set(dims)))]) from None
+                raise IngestError([(i, _row_problem(row, dims))]) from None
             if len(date_ids) > len(dates):  # this row brought a new date
                 raw = row["event_date"]
                 try:
                     dates.append(date.fromisoformat(str(raw)))
                 except ValueError:
                     raise IngestError([(i, f"bad event_date {raw!r}")]) from None
-    return {
-        name: (
-            dates if ids is date_ids else [v if isinstance(v, str) else str(v) for v in ids],
-            np.frombuffer(codes, dtype=np.intc).astype(np.int32),
-        )
-        for name, ids, codes in slots
-    }
+        return i + 1
+
+    def __len__(self) -> int:
+        """Rows coded so far."""
+        return len(self.slots[0][2])
+
+    def values(self, field: int) -> tuple[list, np.ndarray]:
+        """First-seen values of one field (``str(value)``) and its codes."""
+        _, ids, codes = self.slots[field]
+        values = self.dates if ids is self.date_ids else [v if v.__class__ is str else str(v) for v in ids]
+        return values, np.frombuffer(codes, dtype=np.intc)
+
+
+# Rows are read in blocks of whole lines of about this many bytes.
+_BLOCK_BYTES = 1 << 20
+# A canonical block codes values of at most this many bytes from their bytes.
+_MAX_VALUE_BYTES = 64
+# _BYTE_MASKS[n] keeps the first n bytes of a big-endian uint64 word.
+_BYTE_MASKS = np.array([2**64 - 2 ** (64 - 8 * n) for n in range(9)], dtype=np.uint64)
+
+
+def _blocks(fh: BinaryIO) -> Iterator[bytes]:
+    """The bytes of ``fh`` in runs of whole lines, each about _BLOCK_BYTES
+    or one line long; the last may lack its newline."""
+    pending = b""
+    while chunk := fh.read(_BLOCK_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield pending + chunk[:cut]
+            pending = chunk[cut:]
+        else:
+            pending += chunk
+    if pending:
+        yield pending
+
+
+class _CanonicalLayout:
+    """The bytes of a canonical snapshot line for one set of fields:
+
+        {"k1":"v1","k2":"v2",...,"kn":"vn"}<LF>
+
+    with exactly the fields as keys, in sorted order, and ASCII string
+    values free of quotes, backslashes and control bytes.  That is how
+    ``save_snapshot`` writes ASCII text, and ``json.loads`` gives each key
+    of such a line the bytes between its value's quotes.  A line is thus
+    the pieces ``{"k1":"``, ``","k2":"``, ..., ``","kn":"`` and ``"}<LF>``
+    with one value after each piece but the last.
+    """
+
+    def __init__(self, names: Sequence[str]):
+        keys = sorted(names)
+        self.fields = [names.index(key) for key in keys]  # field of each key
+        pieces = [f'{{"{keys[0]}":"', *(f'","{key}":"' for key in keys[1:]), '"}\n']
+        self.sizes = np.array([len(piece) for piece in pieces[:-1]])
+        # Each piece as NUL-padded big-endian words: (piece, offset, word, mask).
+        checks = [
+            (p, offset, int.from_bytes(piece[offset : offset + 8].ljust(8, b"\0"), "big"),
+             _BYTE_MASKS[min(len(piece) - offset, 8)])
+            for p, piece in enumerate(piece.encode() for piece in pieces)
+            for offset in range(0, len(piece), 8)
+        ]
+        self.piece_of, self.offset, words, masks = (np.array(c) for c in zip(*checks))
+        self.words, self.masks = words.astype(np.uint64)[:, None], masks.astype(np.uint64)[:, None]
+
+    @classmethod
+    def of(cls, names: Sequence[str]) -> "_CanonicalLayout | None":
+        """The layout, or None when names repeat or one is not plain ASCII
+        that JSON writes as it is."""
+        plain = all(name.isascii() and json.dumps(name) == f'"{name}"' for name in names)
+        return cls(names) if plain and len(set(names)) == len(names) else None
+
+    def split(self, block: bytes) -> list[np.ndarray] | None:
+        """Every value of a block of canonical lines, as one (lines, words)
+        uint64 array of NUL-padded big-endian words per field; None when a
+        line is not canonical or a value is longer than _MAX_VALUE_BYTES."""
+        if not block.endswith(b"\n"):
+            block += b"\n"
+        buf = np.frombuffer(block, dtype=np.uint8)
+        if np.count_nonzero(buf == 0x5C):  # a backslash: an escape
+            return None
+        ends = np.flatnonzero(buf == 0x0A)
+        quote = buf == 0x22
+        n, keys = len(ends), len(self.fields)
+        # No byte outside 0x20-0x7f but the newlines, and four quotes a key:
+        # then every quote is in a piece once the pieces check.
+        if np.count_nonzero((buf - 0x20) >= 0x60) != n or np.count_nonzero(quote) != 4 * keys * n:
+            return None
+        commas = np.flatnonzero(quote[:-2] & quote[2:] & (buf[1:-1] == 0x2C))  # each '","'
+        if len(commas) != (keys - 1) * n:
+            return None
+        at = np.empty((keys + 1, n), dtype=np.int64)  # where each piece starts
+        at[0, 0], at[0, 1:] = 0, ends[:-1] + 1
+        at[1:keys] = commas.reshape(n, keys - 1).T
+        at[keys] = ends - 2
+        begin = at[:-1] + self.sizes[:, None]
+        length = at[1:] - begin
+        # No value of negative length: each line's pieces lie in that line.
+        if length.min() < 0 or length.max() > _MAX_VALUE_BYTES:
+            return None
+        # The big-endian word at each byte offset, read through a strided view.
+        padded = block + bytes(_MAX_VALUE_BYTES + 8)
+        word_at = np.ndarray((len(padded) - 7,), dtype=">u8", buffer=padded, strides=(1,))
+        if not np.array_equal(word_at[at[self.piece_of] + self.offset[:, None]] & self.masks,
+                              np.broadcast_to(self.words, (len(self.words), n))):
+            return None
+        width = np.maximum(-(-length.max(axis=1) // 8), 1)  # words per value
+        key_of = np.repeat(np.arange(keys), width)
+        offset = 8 * (np.arange(len(key_of)) - np.repeat(np.cumsum(width) - width, width))[:, None]
+        sizes = np.clip(length[key_of] - offset, 0, 8)
+        words = word_at[begin[key_of] + offset] & _BYTE_MASKS[sizes]
+        values: list[np.ndarray] = [None] * keys
+        for field, block_words in zip(self.fields, np.split(words, np.cumsum(width)[:-1])):
+            values[field] = block_words.T
+        return values
+
+
+def _unique_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a (n, w) uint64 array, ascending with the first
+    word first, and each row's int32 index among them.
+
+    The rows are ranked one word at a time.  When the rank so far fits in
+    the low bits that a word's values all leave zero, one sort ranks both.
+    """
+    rank, bound = np.zeros(len(words), dtype=np.uint64), 1  # rank < bound
+    for column in words.T:
+        used = int(np.bitwise_or.reduce(column))
+        if not used:
+            continue  # all NUL: the order of the rows is unchanged
+        spare = (used & -used).bit_length() - 1  # low bits zero in every value
+        if bound == 1:
+            key = column
+        elif bound <= 2**spare:
+            key = (rank << np.uint64(64 - spare)) | (column >> np.uint64(spare))
+        else:
+            values, inverse = np.unique(column, return_inverse=True)
+            key = rank * np.uint64(len(values)) + inverse.astype(np.uint64)
+        distinct, inverse = np.unique(key, return_inverse=True)
+        rank, bound = inverse.astype(np.uint64), len(distinct)
+    first = np.empty(bound, dtype=np.intp)
+    first[rank.astype(np.intp)] = np.arange(len(rank))
+    return words[first], rank.astype(np.int32)
+
+
+def _texts(words: np.ndarray) -> list[str]:
+    """The ASCII strings held as NUL-padded big-endian words, one per row."""
+    width = 8 * words.shape[1]
+    return words.astype(">u8").view(f"S{width}").ravel().astype(f"U{width}").tolist()
+
+
+def _encode_rows(path: Path, schema: Schema) -> dict[str, tuple[list, np.ndarray]]:
+    """Parse snapshot rows straight into codes per field.
+
+    The file is read in blocks of whole lines.  A block of canonical lines
+    (:class:`_CanonicalLayout`) is split into values and coded with numpy:
+    integer sorts of each value's words per block, merged into the file's
+    vocabulary at the end.  Any other block goes line by line
+    (:class:`_LineCoder`).  Blocks go in file order, so the first bad row
+    of the file is the one reported.  When every block is canonical, the
+    values of each field come back sorted and distinct.
+    """
+    names = (*RESERVED_FIELDS, *schema.dimension_columns())
+    date_field = RESERVED_FIELDS.index("event_date")
+    layout = _CanonicalLayout.of(names)
+    lines = _LineCoder(names, set(schema.dimension_columns()))
+    split: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in names]  # per field, per canonical block
+    runs: list[tuple[bool, int]] = []  # (canonical, rows) of each block
+    date_of: dict[str, date] = {}
+    index = 0  # of the block's first line
+    with open(path, "rb") as fh:
+        for block in _blocks(fh):
+            values = layout.split(block) if layout else None
+            if values is None:
+                coded = len(lines)
+                index = lines.code(block, index)
+                runs.append((False, len(lines) - coded))
+                continue
+            for field, words in zip(split, values):
+                field.append(_unique_rows(words))
+            _check_dates(*split[date_field][-1], index, date_of)
+            runs.append((True, len(values[0])))
+            index += len(values[0])
+    rows = sum(n for _, n in runs)
+    fields = {}
+    for f, name in enumerate(names):
+        texts: list[str] = []
+        remaps: list[np.ndarray] = []
+        if split[f]:
+            width = max(u.shape[1] for u, _ in split[f])
+            merged = np.concatenate([np.pad(u, ((0, 0), (0, width - u.shape[1]))) for u, _ in split[f]])
+            vocab, inverse = _unique_rows(merged)
+            texts = _texts(vocab)
+            remaps = np.split(inverse, np.cumsum([len(u) for u, _ in split[f]])[:-1])
+        line_values, line_codes = lines.values(f)
+        codes = np.empty(rows, dtype=np.int32)
+        at = line_at = 0
+        pending = iter(zip(remaps, split[f]))
+        for canonical, n in runs:
+            if canonical:
+                remap, (_, block_codes) = next(pending)
+                codes[at : at + n] = remap[block_codes]
+            else:  # line codes index the values after the canonical ones
+                codes[at : at + n] = line_codes[line_at : line_at + n] + len(texts)
+                line_at += n
+            at += n
+        ordered = [date_of[t] for t in texts] if f == date_field else texts
+        fields[name] = (ordered + line_values, codes)
+    return fields
+
+
+def _check_dates(words: np.ndarray, codes: np.ndarray, first: int, date_of: dict[str, date]) -> None:
+    """Parse each new date of a canonical block (its distinct words, and a
+    code per row) into ``date_of``; the block's first row with a bad date,
+    whose line index is ``first`` plus its row, raises :class:`IngestError`."""
+    texts = _texts(words)
+    bad = []
+    for k, text in enumerate(texts):
+        if text not in date_of:
+            try:
+                date_of[text] = date.fromisoformat(text)
+            except ValueError:
+                bad.append(k)
+    if bad:
+        row = int(np.flatnonzero(np.isin(codes, bad))[0])
+        raise IngestError([(first + row, f"bad event_date {texts[codes[row]]!r}")])
 
 
 def load_snapshot(directory: str | Path) -> Table:

@@ -7,6 +7,7 @@ import tempfile
 from datetime import timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -428,6 +429,7 @@ class TestFileFormats:
     @given(snapshot_rows(), st.sampled_from([160, 400]))
     @example(_file(*GOOD_LINES, BAD_DATE_LINE, *GOOD_LINES, "not json", *GOOD_LINES), 160)
     @example(_file(*GOOD_LINES, "not json", *GOOD_LINES, BAD_DATE_LINE, *GOOD_LINES), 160)
+    @example(_file(GOOD_LINES[0], BAD_DATE_LINE, GOOD_LINES[1], canonical_line("m8", "c", "2020-02-30", "z")), 400)
     @example(b"", 160)
     def test_snapshot_load_matches_line_by_line_reference(self, content, block):
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
@@ -488,6 +490,23 @@ class TestFileFormats:
         save_snapshot(load_snapshot(tmp_path / "a"), tmp_path / "b")
         for name in ("rows.ndjson", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_canonical_rows_are_handed_over_sorted(self, tmp_path, monkeypatch):
+        # ASCII rows as save_snapshot writes them load as sorted, distinct
+        # values and int32 codes, merged over many blocks, and Table keeps
+        # those codes as they are.
+        monkeypatch.setattr(store, "_BLOCK_BYTES", 300)
+        rnd = random.Random(4)
+        rows = [(f"m{rnd.randrange(40)}", f"item{rnd.randrange(25)}", {"title": rnd.choice(["", "x y", "L" * 64])})
+                for _ in range(120)]
+        table = table_of(rows)
+        save_snapshot(table, tmp_path / "snap")
+        fields = store._encode_rows(tmp_path / "snap" / "rows.ndjson", table.schema)
+        for values, codes in fields.values():
+            assert list(values) == sorted(set(values)) and codes.dtype == np.int32
+        loaded = Table(table.schema, AS_OF, fields)
+        assert loaded._columns["item"].codes is fields["item"][1]
+        assert table_state(loaded) == table_state(table)
 
     @pytest.mark.parametrize(
         "line, reason",
