@@ -20,7 +20,7 @@ for byte, regardless of element enumeration order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence, Union
 
@@ -108,9 +108,14 @@ class RankedHistogram:
 
     elements: tuple[str, ...]
     counts: np.ndarray
+    # -counts, ascending: ``negated.searchsorted(-c)`` is how many counts exceed c.
+    negated: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if np.any(self.counts[1:] > self.counts[:-1]):
+            raise ParameterError("ranked counts must be non-increasing")
         self.counts.setflags(write=False)
+        object.__setattr__(self, "negated", -self.counts)
 
 
 def rank_histogram(
@@ -330,40 +335,40 @@ def gumbel_unknown(
     counts = ranked.counts
     g_scale = tau / params.eps_per
 
-    cut_scores = (
-        _cut_base(k, d_bar, delta, float(tau), params.eps_per)
-        + counts[k : d_bar + 1]
-        + noise.indexed_gumbel(_ROLE_CUT, range(k, d_bar + 1), g_scale)
-    )
-    kc = k + int(np.argmin(cut_scores))  # first minimizer on ties
+    cut_noise = noise.indexed_gumbel(_ROLE_CUT, range(k, d_bar + 1), g_scale)
+    if k == d_bar:  # one cut index: drawn for the stream's sake, no argmin
+        kc = k
+    else:
+        base = _cut_base(k, d_bar, delta, float(tau), params.eps_per)
+        cut_scores = base + counts[k : d_bar + 1] + cut_noise
+        kc = k + int(np.argmin(cut_scores))  # first minimizer on ties
     cut_count = float(counts[kc])
 
     m = max(min(kc, d_bar - kc), 1)
     h_bot = cut_count + tau * (1 + math.log(m / delta) / params.eps_per)
     v_bot = h_bot + noise.single_gumbel(THRESHOLD_STREAM_ID, g_scale)
 
-    n_real = min(len(ranked.elements), kc)
-    cand = np.flatnonzero(counts[:n_real] > cut_count)
+    # Counts are non-increasing, so the candidates counts[j] > cut_count
+    # among the real ranks below kc are a prefix.
+    n_cand = min(int(ranked.negated.searchsorted(-cut_count)), len(ranked.elements), kc)
+    if not n_cand:
+        return _NO_RELEASE
+    cand_elements = ranked.elements[:n_cand]
+    scores = counts[:n_cand] + noise.labeled_gumbel(_ROLE_SELECT, cand_elements, g_scale)
+    keep = np.flatnonzero(scores > v_bot)
     entries: tuple[tuple[str, float], ...] = ()
-    if cand.shape[0]:
-        cand_elements = [ranked.elements[j] for j in cand]
-        scores = counts[cand] + noise.labeled_gumbel(_ROLE_SELECT, cand_elements, g_scale)
-        keep = np.flatnonzero(scores > v_bot)
-        if keep.shape[0]:
-            survivors = [
-                (cand_elements[i], float(counts[cand[i]]), float(scores[i]))
-                for i in keep
-            ]
-            survivors.sort(key=lambda t: (-t[2], t[0]))
-            survivors = survivors[:k]
-            names = [e for e, _, _ in survivors]
-            count_noise = noise.labeled_laplace(
-                _ROLE_COUNT, names, 2 * tau / params.eps_per
-            )
-            entries = tuple(
-                (e, float(c + z)) for (e, c, _), z in zip(survivors, count_noise)
-            )
+    if keep.shape[0]:
+        survivors = [(cand_elements[i], float(counts[i]), float(scores[i])) for i in keep]
+        survivors.sort(key=lambda t: (-t[2], t[0]))
+        survivors = survivors[:k]
+        names = [e for e, _, _ in survivors]
+        count_noise = noise.labeled_laplace(_ROLE_COUNT, names, 2 * tau / params.eps_per)
+        entries = tuple((e, float(c + z)) for (e, c, _), z in zip(survivors, count_noise))
     return DPResult(entries=entries, terminated_by_bot=len(entries) < k, bot_value=None)
+
+
+# What gumbel_unknown returns when no rank clears the cut; DPResult is frozen.
+_NO_RELEASE = DPResult(entries=(), terminated_by_bot=True, bot_value=None)
 
 
 def translate_query(k: int, k_multiplier: int = 10, min_fetch: int = 1000) -> int:

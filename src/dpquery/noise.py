@@ -283,6 +283,16 @@ class SimNoise:
         self._buffers[(kind, scale)] = (buf, pos + n)
         return buf[pos : pos + n]
 
+    def _take_one(self, kind: str, scale: float) -> float:
+        """``float(self._take(kind, scale, 1)[0])``, without the slice while
+        the buffer lasts."""
+        key = (kind, scale)
+        buf, pos = self._buffers.get(key, (None, 0))
+        if buf is None or pos == buf.shape[0]:
+            return float(self._take(kind, scale, 1)[0])
+        self._buffers[key] = (buf, pos + 1)
+        return float(buf[pos])
+
     def labeled_laplace(self, role, labels, scale: float) -> np.ndarray:
         return self._take("laplace", scale, len(labels))
 
@@ -293,7 +303,7 @@ class SimNoise:
         return self._take("gumbel", scale, len(indices))
 
     def single_laplace(self, stream_id, scale: float) -> float:
-        return float(self._take("laplace", scale, 1)[0])
+        return self._take_one("laplace", scale)
 
     def single_gumbel(self, stream_id, scale: float) -> float:
-        return float(self._take("gumbel", scale, 1)[0])
+        return self._take_one("gumbel", scale)

@@ -8,6 +8,9 @@ and a record-by-record replay of the budget journal.
 
 ``reference_encode_rows`` is the line-by-line snapshot row coder that
 ``load_snapshot`` must agree with, table for table and error for error.
+``reference_gumbel_unknown`` is the straight-line form of that mechanism
+(every step over whole arrays); ``gumbel_unknown`` must make the same
+draws in the same order and give the same result.
 
 Two test helpers sit beside them.  The reference noise path builds each
 counter-mode substream one stream at a time (docs/formats.md) and uses the
@@ -30,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from dpquery.noise import gumbel_from_uniform, laplace_from_uniform
+from dpquery.noise import THRESHOLD_STREAM_ID, gumbel_from_uniform, laplace_from_uniform
 from dpquery.store import RESERVED_FIELDS, IngestError, Schema, _row_problem
 
 
@@ -321,3 +324,31 @@ def reference_encode_rows(path: str | Path, schema: Schema) -> dict[str, tuple[l
         )
         for name, ids, codes in slots
     }
+
+
+def reference_gumbel_unknown(ranked, k: int, d_bar: int, tau: int, eps: float, delta: float, noise):
+    """``gumbel_unknown`` on a prepared histogram, each step in full: the
+    argmin over every cut index, and the candidates from a scan of the
+    real ranks below the cut.  Returns (entries, terminated_by_bot)."""
+    counts = ranked.counts
+    g_scale = tau / eps
+    idx = np.arange(k, d_bar + 1, dtype=np.float64)
+    base = tau + tau * (np.log(idx) - math.log(delta)) / eps
+    cut_scores = base + counts[k : d_bar + 1] + noise.indexed_gumbel("cut", range(k, d_bar + 1), g_scale)
+    kc = k + int(np.argmin(cut_scores))
+    cut_count = float(counts[kc])
+    m = max(min(kc, d_bar - kc), 1)
+    v_bot = cut_count + tau * (1 + math.log(m / delta) / eps) + noise.single_gumbel(THRESHOLD_STREAM_ID, g_scale)
+    cand = np.flatnonzero(counts[: min(len(ranked.elements), kc)] > cut_count)
+    entries: tuple = ()
+    if cand.shape[0]:
+        cand_elements = [ranked.elements[j] for j in cand]
+        scores = counts[cand] + noise.labeled_gumbel("select", cand_elements, g_scale)
+        survivors = sorted(
+            ((cand_elements[i], float(counts[cand[i]]), float(scores[i])) for i in np.flatnonzero(scores > v_bot)),
+            key=lambda t: (-t[2], t[0]),
+        )[:k]
+        if survivors:
+            count_noise = noise.labeled_laplace("count", [e for e, _, _ in survivors], 2 * tau / eps)
+            entries = tuple((e, float(c + z)) for (e, c, _), z in zip(survivors, count_noise))
+    return entries, len(entries) < k

@@ -11,6 +11,7 @@ from dpquery.mechanisms import (
     BOT,
     DPResult,
     PrivacyParams,
+    RankedHistogram,
     exp_known,
     gumbel_unknown,
     lap_known,
@@ -26,7 +27,19 @@ from dpquery.noise import (
     SimNoise,
     derive_seed,
 )
-from oracles import CHI2_CRIT_01, ZeroNoise, chi_square_stat, delta_hat_bisect, gumbel, laplace, substream
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    CHI2_CRIT_01,
+    ZeroNoise,
+    chi_square_stat,
+    delta_hat_bisect,
+    gumbel,
+    laplace,
+    reference_gumbel_unknown,
+    substream,
+)
 
 from conftest import SECRET
 
@@ -313,6 +326,30 @@ class TestGumbelUnknown:
         with pytest.raises(ParameterError):
             gumbel_unknown(ranked, 2, 10, 1, PrivacyParams(1.0, 0.01), ZeroNoise())
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0, 1, 2, 3, 8, 40, 400]), max_size=30),
+        st.integers(min_value=2, max_value=40),
+        st.data(),
+    )
+    def test_draws_and_result_match_reference(self, counts, d_bar, data):
+        # The same draws in the same order: the two SimNoise twins stay in
+        # step, checked by a draw from each after the call.  k = d_bar (one
+        # cut index) and results with and without candidates all occur.
+        k = data.draw(st.integers(min_value=1, max_value=d_bar), label="k")
+        tau = data.draw(st.sampled_from([1, 2]), label="tau")
+        eps = data.draw(st.sampled_from([0.15, 1.0, 8.0]), label="eps")
+        ranked = rank_histogram([(f"e{i:02d}", c) for i, c in enumerate(counts)], d_bar + 1)
+        seed = data.draw(st.integers(min_value=0, max_value=2**32), label="seed")
+        sim, twin = SimNoise(seed, block=16), SimNoise(seed, block=16)
+        out = gumbel_unknown(ranked, k, d_bar, tau, PrivacyParams(eps, 1e-3), sim)
+        assert (out.entries, out.terminated_by_bot) == reference_gumbel_unknown(ranked, k, d_bar, tau, eps, 1e-3, twin)
+        assert out.bot_value is None
+        for kind in ("single_gumbel", "single_laplace"):
+            assert getattr(sim, kind)("s", tau / eps) == getattr(twin, kind)("s", tau / eps)
+        out = gumbel_unknown(ranked, k, d_bar, tau, PrivacyParams(eps, 1e-3), keyed())
+        assert (out.entries, out.terminated_by_bot) == reference_gumbel_unknown(ranked, k, d_bar, tau, eps, 1e-3, keyed())
+
 
 class TestDeterminism:
     PARAMS = PrivacyParams(0.3, 1e-8)
@@ -406,6 +443,13 @@ def test_rank_histogram_pads_and_sorts():
     ranked = rank_histogram([("b", 3), ("a", 3), ("c", 9)], 6)
     assert ranked.elements == ("c", "a", "b")
     assert ranked.counts.tolist() == [9.0, 3.0, 3.0, 0.0, 0.0, 0.0]
+
+
+def test_ranked_counts_must_not_increase():
+    # gumbel_unknown finds its candidates as a prefix of the rank order.
+    with pytest.raises(ParameterError, match="non-increasing"):
+        RankedHistogram(elements=("a", "b"), counts=np.array([1.0, 2.0, 0.0]))
+    assert RankedHistogram(elements=("a", "b"), counts=np.array([2.0, 2.0, 0.0])).counts.tolist() == [2.0, 2.0, 0.0]
 
 
 def test_dpresult_len():

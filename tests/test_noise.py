@@ -251,6 +251,18 @@ class TestProviders:
                 with pytest.raises(ParameterError, match=f"^{kind} scale must be positive"):
                     call(bad)
 
+    def test_sim_noise_single_draws_follow_the_vector_stream(self):
+        # One draw at a time, across buffer refills, reads the same stream a
+        # one-element vector draw does.
+        singles, vectors = SimNoise(8, block=5), SimNoise(8, block=5)
+        for n in (1, 1, 3, 1, 1, 1, 4, 1, 6, 1, 1):
+            if n == 1:
+                assert singles.single_gumbel("t", 2.0) == vectors.indexed_gumbel("c", range(1), 2.0)[0]
+                assert singles.single_laplace("t", 0.5) == vectors.labeled_laplace("c", ["x"], 0.5)[0]
+            else:
+                assert singles.labeled_gumbel("c", ["x"] * n, 2.0).tolist() == vectors.labeled_gumbel("c", ["x"] * n, 2.0).tolist()
+        assert isinstance(singles.single_gumbel("t", 2.0), float)
+
     def test_sim_noise_buffer_statistics(self):
         sim = SimNoise(123, block=64)
         draws = np.concatenate([sim.labeled_laplace("r", ["x"] * 7, 1.0) for _ in range(3000)])
