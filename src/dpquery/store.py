@@ -15,6 +15,14 @@ makes an unfiltered top slice a tuple slice and unfiltered group counts a
 dict copy.  A filter is a boolean row mask over codes; distinct counts
 under it go through a per-column (group, member) pair id fixed at
 construction, so no query sorts rows.
+
+A snapshot loads without an object per row: ``rows.ndjson`` is read in
+blocks of whole lines, and a block of canonical lines (as
+:func:`save_snapshot` writes ASCII text) is coded with numpy from the
+bytes between its quotes, while any other block goes through ``json``
+line by line, with the same rows and the same first error either way.
+Canonical rows load as sorted columns that :class:`Table` keeps as they
+are.
 """
 
 from __future__ import annotations
@@ -721,6 +729,23 @@ def _texts(words: np.ndarray) -> list[str]:
     return words.astype(">u8").view(f"S{width}").ravel().astype(f"U{width}").tolist()
 
 
+def _check_dates(words: np.ndarray, codes: np.ndarray, first: int, date_of: dict[str, date]) -> None:
+    """Parse each new date of a canonical block (its distinct words, and a
+    code per row) into ``date_of``; the block's first row with a bad date,
+    whose line index is ``first`` plus its row, raises :class:`IngestError`."""
+    texts = _texts(words)
+    bad = []
+    for k, text in enumerate(texts):
+        if text not in date_of:
+            try:
+                date_of[text] = date.fromisoformat(text)
+            except ValueError:
+                bad.append(k)
+    if bad:
+        row = int(np.flatnonzero(np.isin(codes, bad))[0])
+        raise IngestError([(first + row, f"bad event_date {texts[codes[row]]!r}")])
+
+
 def _encode_rows(path: Path, schema: Schema) -> dict[str, tuple[list, np.ndarray]]:
     """Parse snapshot rows straight into codes per field.
 
@@ -779,23 +804,6 @@ def _encode_rows(path: Path, schema: Schema) -> dict[str, tuple[list, np.ndarray
         ordered = [date_of[t] for t in texts] if f == date_field else texts
         fields[name] = (ordered + line_values, codes)
     return fields
-
-
-def _check_dates(words: np.ndarray, codes: np.ndarray, first: int, date_of: dict[str, date]) -> None:
-    """Parse each new date of a canonical block (its distinct words, and a
-    code per row) into ``date_of``; the block's first row with a bad date,
-    whose line index is ``first`` plus its row, raises :class:`IngestError`."""
-    texts = _texts(words)
-    bad = []
-    for k, text in enumerate(texts):
-        if text not in date_of:
-            try:
-                date_of[text] = date.fromisoformat(text)
-            except ValueError:
-                bad.append(k)
-    if bad:
-        row = int(np.flatnonzero(np.isin(codes, bad))[0])
-        raise IngestError([(first + row, f"bad event_date {texts[codes[row]]!r}")])
 
 
 def load_snapshot(directory: str | Path) -> Table:

@@ -338,14 +338,16 @@ def reference_gumbel_unknown(ranked, k: int, d_bar: int, tau: int, eps: float, d
     kc = k + int(np.argmin(cut_scores))
     cut_count = float(counts[kc])
     m = max(min(kc, d_bar - kc), 1)
-    v_bot = cut_count + tau * (1 + math.log(m / delta) / eps) + noise.single_gumbel(THRESHOLD_STREAM_ID, g_scale)
+    h_bot = cut_count + tau * (1 + math.log(m / delta) / eps)
+    v_bot = h_bot + noise.single_gumbel(THRESHOLD_STREAM_ID, g_scale)
     cand = np.flatnonzero(counts[: min(len(ranked.elements), kc)] > cut_count)
     entries: tuple = ()
     if cand.shape[0]:
         cand_elements = [ranked.elements[j] for j in cand]
         scores = counts[cand] + noise.labeled_gumbel("select", cand_elements, g_scale)
+        above = np.flatnonzero(scores > v_bot)
         survivors = sorted(
-            ((cand_elements[i], float(counts[cand[i]]), float(scores[i])) for i in np.flatnonzero(scores > v_bot)),
+            ((cand_elements[i], float(counts[cand[i]]), float(scores[i])) for i in above),
             key=lambda t: (-t[2], t[0]),
         )[:k]
         if survivors:

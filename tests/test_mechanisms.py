@@ -343,12 +343,14 @@ class TestGumbelUnknown:
         seed = data.draw(st.integers(min_value=0, max_value=2**32), label="seed")
         sim, twin = SimNoise(seed, block=16), SimNoise(seed, block=16)
         out = gumbel_unknown(ranked, k, d_bar, tau, PrivacyParams(eps, 1e-3), sim)
-        assert (out.entries, out.terminated_by_bot) == reference_gumbel_unknown(ranked, k, d_bar, tau, eps, 1e-3, twin)
+        expected = reference_gumbel_unknown(ranked, k, d_bar, tau, eps, 1e-3, twin)
+        assert (out.entries, out.terminated_by_bot) == expected
         assert out.bot_value is None
         for kind in ("single_gumbel", "single_laplace"):
             assert getattr(sim, kind)("s", tau / eps) == getattr(twin, kind)("s", tau / eps)
         out = gumbel_unknown(ranked, k, d_bar, tau, PrivacyParams(eps, 1e-3), keyed())
-        assert (out.entries, out.terminated_by_bot) == reference_gumbel_unknown(ranked, k, d_bar, tau, eps, 1e-3, keyed())
+        expected = reference_gumbel_unknown(ranked, k, d_bar, tau, eps, 1e-3, keyed())
+        assert (out.entries, out.terminated_by_bot) == expected
 
 
 class TestDeterminism:
@@ -449,7 +451,8 @@ def test_ranked_counts_must_not_increase():
     # gumbel_unknown finds its candidates as a prefix of the rank order.
     with pytest.raises(ParameterError, match="non-increasing"):
         RankedHistogram(elements=("a", "b"), counts=np.array([1.0, 2.0, 0.0]))
-    assert RankedHistogram(elements=("a", "b"), counts=np.array([2.0, 2.0, 0.0])).counts.tolist() == [2.0, 2.0, 0.0]
+    ties = RankedHistogram(elements=("a", "b"), counts=np.array([2.0, 2.0, 0.0]))
+    assert ties.counts.tolist() == [2.0, 2.0, 0.0]
 
 
 def test_dpresult_len():

@@ -260,7 +260,8 @@ class TestProviders:
                 assert singles.single_gumbel("t", 2.0) == vectors.indexed_gumbel("c", range(1), 2.0)[0]
                 assert singles.single_laplace("t", 0.5) == vectors.labeled_laplace("c", ["x"], 0.5)[0]
             else:
-                assert singles.labeled_gumbel("c", ["x"] * n, 2.0).tolist() == vectors.labeled_gumbel("c", ["x"] * n, 2.0).tolist()
+                drawn = singles.labeled_gumbel("c", ["x"] * n, 2.0)
+                assert drawn.tolist() == vectors.labeled_gumbel("c", ["x"] * n, 2.0).tolist()
         assert isinstance(singles.single_gumbel("t", 2.0), float)
 
     def test_sim_noise_buffer_statistics(self):

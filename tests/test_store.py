@@ -422,6 +422,7 @@ def _file(*lines: str) -> bytes:
 
 GOOD_LINES = [canonical_line(f"m{n}", "a", "2020-06-30", "x") for n in range(4)]
 BAD_DATE_LINE = canonical_line("m9", "b", "2020-13-01", "y")
+OTHER_BAD_DATE_LINE = canonical_line("m8", "c", "2020-02-30", "z")
 
 
 class TestFileFormats:
@@ -429,7 +430,7 @@ class TestFileFormats:
     @given(snapshot_rows(), st.sampled_from([160, 400]))
     @example(_file(*GOOD_LINES, BAD_DATE_LINE, *GOOD_LINES, "not json", *GOOD_LINES), 160)
     @example(_file(*GOOD_LINES, "not json", *GOOD_LINES, BAD_DATE_LINE, *GOOD_LINES), 160)
-    @example(_file(GOOD_LINES[0], BAD_DATE_LINE, GOOD_LINES[1], canonical_line("m8", "c", "2020-02-30", "z")), 400)
+    @example(_file(GOOD_LINES[0], BAD_DATE_LINE, GOOD_LINES[1], OTHER_BAD_DATE_LINE), 400)
     @example(b"", 160)
     def test_snapshot_load_matches_line_by_line_reference(self, content, block):
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
@@ -497,7 +498,8 @@ class TestFileFormats:
         # those codes as they are.
         monkeypatch.setattr(store, "_BLOCK_BYTES", 300)
         rnd = random.Random(4)
-        rows = [(f"m{rnd.randrange(40)}", f"item{rnd.randrange(25)}", {"title": rnd.choice(["", "x y", "L" * 64])})
+        titles = ["", "x y", "L" * 64]
+        rows = [(f"m{rnd.randrange(40)}", f"item{rnd.randrange(25)}", {"title": rnd.choice(titles)})
                 for _ in range(120)]
         table = table_of(rows)
         save_snapshot(table, tmp_path / "snap")
